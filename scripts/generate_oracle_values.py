@@ -74,6 +74,7 @@ if __name__ == "__main__":
     show("pdf(0.25; r=0.5, l1=0.3, l2=0.7)", diff_pdf("0.25", "0.5", "0.3", "0.7"))
     show("pdf(1.5;  r=1,   l1=0.5, l2=2)", diff_pdf("1.5", 1, "0.5", 2))
     show("pdf(1.3;  r=2.5, central)", diff_pdf("1.3", "2.5", 0, 0))
+    show("pdf(-1e-6; r=3.7225, central)", diff_pdf("-1e-6", "3.7225", 0, 0))
     print("# Tricomi U values")
     show("U(5.5, 11, 0.7)", hyperu(mpf("5.5"), 11, mpf("0.7")))
     show("U(0.75, 1.5, 20)", hyperu(mpf("0.75"), mpf("1.5"), 20))
@@ -83,6 +84,8 @@ if __name__ == "__main__":
     show("U(0.5, 10.999999999999993, 17)", hyperu(mpf("0.5"), mpf(10.999999999999993), 17))
     show("U(1.5, 3.999999999999993, 1)", hyperu(mpf("1.5"), mpf(3.999999999999993), 1))
     show("U(1, 1.0000000000000002, 0.5)", hyperu(1, mpf(1.0000000000000002), mpf("0.5")))
+    show("U(1.86125, 3.7225, 1e-6)", hyperu(mpf("1.86125"), mpf("3.7225"), mpf("1e-6")))
+    show("U(2.5, 4, 1e-6)", hyperu(mpf("2.5"), 4, mpf("1e-6")))
     show("ln U(36.87, 9.01, 0.41)", log(hyperu(mpf(36.87), mpf(9.01), mpf(0.41))), 25)
     print("# negativity probabilities (double series route)")
     show("P(T<=0; r=3, l1=1.2, l2=0.4)", prob_diff_nonpositive(3, "1.2", "0.4"))

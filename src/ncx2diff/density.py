@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -25,12 +24,10 @@ from .specfun import (
     SeriesControl,
     log_bessel_i,
     log_bessel_k,
-    log_comb,
     log_tricomi_u,
 )
 
 __all__ = [
-    "CfPoint",
     "ncx2_pdf",
     "ncx2diff_pdf",
     "ncx2diff_pdf_equal",
@@ -44,14 +41,6 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
-
-
-@dataclass(frozen=True)
-class CfPoint:
-    """Characteristic-function sample: |value| <= 1 and value == 1 at t == 0."""
-
-    t: float
-    value: complex
 
 
 # ---------------------------------------------------------------------------
@@ -97,6 +86,12 @@ def _diff_pdf_nonneg(x: float, r: float, lam1: float, lam2: float,
                      ctrl: SeriesControl) -> float:
     """Double-series density evaluated at x >= 0.
 
+    Outer index k sums the terms j = 0..k, each a Poisson-type weight times
+    x^{r+k-1} U(r/2 + j, r + k, x). Column j of that U table is seeded by
+    log_tricomi_u at b = r + j and b = r + j + 1, then stepped in b by the
+    recurrence DLMF 13.3.8 in ratio form; U is the dominant solution in b, so
+    the forward recurrence is stable. That is two U calls per outer index.
+
     All terms are positive; the outer index is stopped once three consecutive
     outer contributions fall below abs_tol times the running sum (guards
     against odd/even oscillation of the Poisson-type weights).
@@ -106,37 +101,51 @@ def _diff_pdf_nonneg(x: float, r: float, lam1: float, lam2: float,
         raise SingularPointError(x, "difference density singular/non-series at 0 for r <= 2")
     log_pref = -r * math.log(2.0) - (abs(x) + lam1 + lam2) / 2.0
     # log(lam) - log(2) rather than log(lam / 2): lam / 2 can underflow to 0
-    # for subnormal lam even though lam > 0
-    llam1 = math.log(lam1) - _LN2 if lam1 > 0 else -math.inf
-    llam2 = math.log(lam2) - _LN2 if lam2 > 0 else -math.inf
+    # for subnormal lam even though lam > 0. A zero lam keeps only the terms
+    # in which its power is 0, so its log is never used.
+    llam1 = math.log(lam1) - _LN2 if lam1 > 0 else 0.0
+    llam2 = math.log(lam2) - _LN2 if lam2 > 0 else 0.0
+    h = r / 2.0
+    # ln U(h + j, r + k, x) and x U(h + j, r + k, x) / U(h + j, r + k - 1, x)
+    # by column j (the ratio is scaled by x so that it stays finite for
+    # subnormal x); with lam1 = 0 only the last entry of lu is current
+    lu = np.empty(0)
+    rho = np.empty(0)
     total = 0.0
     small_streak = 0
     terms_used = 0
     k = 0
     while True:
-        outer = 0.0
-        for j in range(k + 1):
-            if lam1 == 0.0 and j < k:
-                continue
-            if lam2 == 0.0 and j > 0:
-                continue
-            a_jk = k - j
-            # note the 2^{-k}: the correct Poisson-mixture weights are
-            # (lam1/4)^{k-j} (lam2/4)^j, cross-checked against the equal-lambda
-            # Bessel series, CF inversion and Monte Carlo
-            lcoef = log_comb(k, j) - sc.gammaln(k + 1.0) - sc.gammaln(r / 2.0 + a_jk) \
-                - k * math.log(2.0)
-            if k - j > 0:
-                lcoef += (k - j) * llam1
-            if j > 0:
-                lcoef += j * llam2
-            if at_zero:
-                # x -> 0 limit of x^{r+k-1} U(r/2+j, r+k, x); valid since r > 2
-                lu = sc.gammaln(r + k - 1.0) - sc.gammaln(r / 2.0 + j)
-            else:
-                lu = _log_u_term(r, k, a_jk, x)
-            outer += math.exp(log_pref + lcoef + lu)
-            terms_used += 1
+        # lam1 = 0 keeps only j = k, lam2 = 0 only j = 0
+        first = k if lam1 == 0.0 else 0
+        last = 0 if lam2 == 0.0 else k
+        j = np.arange(first, last + 1)
+        if at_zero:
+            # x -> 0 limit of x^{r+k-1} U(r/2+j, r+k, x); valid since r > 2
+            lu_row = sc.gammaln(r + k - 1.0) - sc.gammaln(h + j)
+        else:
+            lx = math.log(x)
+            old = j[j <= k - 2]
+            if old.size:
+                # z U(a, b+1) = (b - 1 + z) U(a, b) - (b - a - 1) U(a, b-1)
+                b = r + k - 1.0
+                rho[old] = (b - 1.0 + x) - (b - h - old - 1.0) * x / rho[old]
+                lu[old] += np.log(rho[old]) - lx
+            if first <= k - 1 <= last:
+                second = log_tricomi_u(h + k - 1.0, r + k, x)
+                rho[k - 1] = math.exp(second - lu[k - 1] + lx)
+                lu[k - 1] = second
+            if first <= k <= last:
+                lu = np.append(lu, log_tricomi_u(h + k, r + k, x))
+                rho = np.append(rho, math.nan)
+            lu_row = (r + k - 1.0) * lx + lu[first:last + 1]
+        # note the 2^{-k}: the correct Poisson-mixture weights are
+        # (lam1/4)^{k-j} (lam2/4)^j, cross-checked against the equal-lambda
+        # Bessel series, CF inversion and Monte Carlo
+        lcoef = -sc.gammaln(j + 1.0) - sc.gammaln(k - j + 1.0) - sc.gammaln(h + k - j) \
+            - k * _LN2 + (k - j) * llam1 + j * llam2
+        outer = float(np.exp(log_pref + lcoef + lu_row).sum())
+        terms_used += j.size
         total += outer
         if terms_used > ctrl.max_terms:
             raise NonConvergenceError(
@@ -366,9 +375,3 @@ def cf_inversion_pdf(x: float, cf: Callable[[float], complex],
             f"CF inversion error estimate {toterr / math.pi:.3e} exceeds tol {tol:.1e} at x={x}")
     return total / math.pi
 
-
-def cf_envelope(t: float, p: ProductNormalParams) -> float:
-    """Provable modulus envelope of the S_n CF, used for truncation diagnostics."""
-    tau = p.s * t
-    return ((1.0 + (1.0 + p.rho) ** 2 * tau * tau)
-            * (1.0 + (1.0 - p.rho) ** 2 * tau * tau)) ** (-p.n / 4.0)

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, asdict
+from functools import cached_property
 
 from .errors import DomainError, UnsupportedParameterError
 
@@ -41,6 +42,38 @@ class ProductNormalParams:
     @property
     def s(self) -> float:
         return self.sigma_x * self.sigma_y
+
+    @cached_property
+    def chisq_diff(self) -> "ChiSqDiffRepr":
+        """Exact difference-of-noncentral-chi-squares representation of S_n,
+        built once per parameter set (the CF of S_n reads it at every t)."""
+        s = self.s
+        a = self.mu_x / self.sigma_x
+        b = self.mu_y / self.sigma_y
+        if self.rho == 1.0:
+            lam_plus = self.n * (a + b) ** 2 / 4.0
+            return ChiSqDiffRepr(
+                scale_plus=s, scale_minus=0.0, r=float(self.n),
+                lambda_plus=lam_plus, lambda_minus=0.0,
+                shift=-(self.n * s / 4.0) * (a - b) ** 2,
+            )
+        if self.rho == -1.0:
+            lam_minus = self.n * (a - b) ** 2 / 4.0
+            return ChiSqDiffRepr(
+                scale_plus=0.0, scale_minus=s, r=float(self.n),
+                lambda_plus=0.0, lambda_minus=lam_minus,
+                shift=(self.n * s / 4.0) * (a + b) ** 2,
+            )
+        lam_plus = self.n / (2.0 * (1.0 + self.rho)) * (a + b) ** 2
+        lam_minus = self.n / (2.0 * (1.0 - self.rho)) * (a - b) ** 2
+        return ChiSqDiffRepr(
+            scale_plus=s * (1.0 + self.rho) / 2.0,
+            scale_minus=s * (1.0 - self.rho) / 2.0,
+            r=float(self.n),
+            lambda_plus=lam_plus,
+            lambda_minus=lam_minus,
+            shift=0.0,
+        )
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -103,33 +136,7 @@ class ChiSqDiffRepr:
 
 def to_chisq_diff(p: ProductNormalParams) -> ChiSqDiffRepr:
     """Exact difference-of-noncentral-chi-squares representation of S_n."""
-    s = p.s
-    a = p.mu_x / p.sigma_x
-    b = p.mu_y / p.sigma_y
-    if p.rho == 1.0:
-        lam_plus = p.n * (a + b) ** 2 / 4.0
-        return ChiSqDiffRepr(
-            scale_plus=s, scale_minus=0.0, r=float(p.n),
-            lambda_plus=lam_plus, lambda_minus=0.0,
-            shift=-(p.n * s / 4.0) * (a - b) ** 2,
-        )
-    if p.rho == -1.0:
-        lam_minus = p.n * (a - b) ** 2 / 4.0
-        return ChiSqDiffRepr(
-            scale_plus=0.0, scale_minus=s, r=float(p.n),
-            lambda_plus=0.0, lambda_minus=lam_minus,
-            shift=(p.n * s / 4.0) * (a + b) ** 2,
-        )
-    lam_plus = p.n / (2.0 * (1.0 + p.rho)) * (a + b) ** 2
-    lam_minus = p.n / (2.0 * (1.0 - p.rho)) * (a - b) ** 2
-    return ChiSqDiffRepr(
-        scale_plus=s * (1.0 + p.rho) / 2.0,
-        scale_minus=s * (1.0 - p.rho) / 2.0,
-        r=float(p.n),
-        lambda_plus=lam_plus,
-        lambda_minus=lam_minus,
-        shift=0.0,
-    )
+    return p.chisq_diff
 
 
 def from_chisq_diff(q: ChiSqDiffParams) -> ProductNormalParams:

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
+import numpy as np
 from scipy import special as sc
 from scipy import stats as st
 
@@ -69,10 +71,13 @@ def _beta_double_series(x: float, half_r1: float, half_r2: float,
     J = _poisson_cut(mu1, ctrl.abs_tol / 4.0, ctrl.max_terms)
     K = _poisson_cut(mu2, ctrl.abs_tol / 4.0, ctrl.max_terms)
     wj = st.poisson.pmf(range(J + 1), mu1) if mu1 > 0 else [1.0]
-    wk = st.poisson.pmf(range(K + 1), mu2) if mu2 > 0 else [1.0]
-    total = math.fsum(
-        wj[j] * wk[k] * sc.betainc(half_r1 + j, half_r2 + k, x)
-        for j in range(J + 1) for k in range(K + 1))
+    wk = st.poisson.pmf(range(K + 1), mu2) if mu2 > 0 else np.ones(1)
+    bk = half_r2 + np.arange(K + 1)
+    # one betainc call per row j keeps memory at O(K); fsum over every
+    # rectangle is exact, whatever the order
+    total = math.fsum(chain.from_iterable(
+        (wj[j] * wk * sc.betainc(half_r1 + j, bk, x)).tolist()
+        for j in range(J + 1)))
     tail = 1.0 - math.fsum(wj) * math.fsum(wk)
     return NegativityResult(
         probability=min(max(total, 0.0), 1.0),
@@ -89,9 +94,8 @@ def _ncx2_cdf_mixture(c: float, r: float, lam: float,
         return NegativityResult(0.0, 1, 0.0)
     mu = lam / 2.0
     J = _poisson_cut(mu, ctrl.abs_tol / 4.0, ctrl.max_terms)
-    wj = st.poisson.pmf(range(J + 1), mu) if mu > 0 else [1.0]
-    total = math.fsum(wj[j] * sc.gammainc(r / 2.0 + j, c / 2.0)
-                      for j in range(J + 1))
+    wj = st.poisson.pmf(range(J + 1), mu) if mu > 0 else np.ones(1)
+    total = math.fsum((wj * sc.gammainc(r / 2.0 + np.arange(J + 1), c / 2.0)).tolist())
     return NegativityResult(
         probability=min(max(total, 0.0), 1.0),
         terms_used=J + 1,

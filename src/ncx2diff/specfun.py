@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy import special as sc
@@ -172,42 +171,19 @@ def log_kummer_m(a: float, b: float, x: float, ctrl: SeriesControl = DEFAULT_CON
     raise NonConvergenceError(f"log_kummer_m: {ctrl.max_terms} terms exhausted at (a={a}, b={b}, x={x})")
 
 
-@lru_cache(maxsize=256)
-def _laguerre_nodes(alpha: float, n: int = 200):
-    return sc.roots_genlaguerre(n, alpha)
-
-
-def _log_dot(logf: np.ndarray, w: np.ndarray) -> float:
-    m = float(logf.max())
-    return math.log(float(np.dot(w, np.exp(logf - m)))) + m
-
-
-def _log_u_lag_s(a: float, b: float, x: float) -> float:
-    # U Gamma(a) x^a = int e^{-s} s^{a-1} (1+s/x)^{b-a-1} ds; good for large x
-    s, w = _laguerre_nodes(round(a - 1.0, 12))
-    return _log_dot((b - a - 1.0) * np.log1p(s / x), w) \
-        - a * math.log(x) - sc.gammaln(a)
-
-
-def _log_u_lag_j(a: float, b: float, x: float) -> float:
-    # U Gamma(a) x^{b-1} = int e^{-u} u^{b-2} (1+x/u)^{b-a-1} du; good when the
-    # u < x region carries negligible mass, i.e. x^{b-1} << Gamma(b-1)
-    u, w = _laguerre_nodes(round(b - 2.0, 12))
-    return _log_dot((b - a - 1.0) * np.log1p(x / u), w) \
-        + (1.0 - b) * math.log(x) - sc.gammaln(a)
-
-
 def _log_u_trap(a: float, b: float, x: float) -> float:
     # U Gamma(a) x^a = int e^{phi(t)} dt with s = e^t and
     # phi(t) = a t - e^t + c log1p(e^t / x); valid for all a > 0, x > 0.
     # The integrand is analytic in |Im t| < pi/2 and decays at both ends, so
     # the trapezoidal rule on the whole line converges geometrically in 1/h.
+    # log1p(e^t / x) is taken as logaddexp(0, t - ln x), which stays finite
+    # where e^t / x overflows (x subnormal)
     c = b - a - 1.0
     big = a + max(c, 0.0)
+    lx = math.log(x)
 
     def phi(t):
-        e = np.exp(t)
-        return a * t - e + c * np.log1p(e / x)
+        return a * t - np.exp(t) + c * np.logaddexp(0.0, t - lx)
 
     # phi' <= big - e^t, so phi falls by more than 45 over [ln big, t_hi]
     t_hi = math.log(big) + math.log(2.0 + 45.0 / big) + 1.0
@@ -215,9 +191,9 @@ def _log_u_trap(a: float, b: float, x: float) -> float:
     # the grid points below t_lo, summed as the geometric series of e^{a t},
     # are off by less than e^{phi(ln a) - 40}: the slow e^{a t} tail of a
     # small a costs no grid points
-    ref = a * math.log(a) - a + c * math.log1p(a / x)  # phi(ln a)
-    t1 = math.log(min(1.0, x / (1.0 + abs(c)))) - 3.0
-    t_lo = min(t1, (ref - 40.0 - math.log(2.2 * (1.0 + abs(c) / x))) / (a + 1.0))
+    ref = float(phi(math.log(a)))
+    t1 = min(0.0, lx - math.log1p(abs(c))) - 3.0
+    t_lo = min(t1, (ref - 40.0 - math.log(2.2 * (x + abs(c))) + lx) / (a + 1.0))
     # the step resolves the peak (curvature at most a + |c| + 1) and stays
     # small against the strip width
     h = min(0.15, 0.5 / math.sqrt(a + abs(c) + 1.0))
@@ -236,35 +212,28 @@ def _log_u_trap(a: float, b: float, x: float) -> float:
         raise NonConvergenceError(
             f"U trapezoid unresolved at (a={a}, b={b}, x={x}): "
             f"step-h and step-2h sums differ by {abs(coarse / fine - 1.0):.1e}")
-    return math.log(h * fine) + m - a * math.log(x) - sc.gammaln(a)
+    return math.log(h * fine) + m - a * lx - sc.gammaln(a)
 
 
 def _log_u_core(a: float, b: float, x: float) -> float:
     """ln U(a, b, x) for a > 0, b >= 1, x > 0 (the post-reflection region).
 
-    scipy's hyperu is silently inaccurate for large x, returns nan or negative
-    values in parts of this region, and loses digits by cancellation when b
-    is near an integer n but not on it: against mpmath its error in ln U is
-    about 2e-15/|b - n| at the median point, and only at |b - n| >= 0.1 does
-    it stop adding cases beyond 1e-12. The evaluation is therefore routed
-    between hyperu, two Gauss-Laguerre quadratures of the integral
-    representation, validated against 40-digit references over the region the
-    density series visits, and a trapezoidal quadrature of the same integral
-    for b within 0.1 of an integer and wherever hyperu fails.
+    Two routes: scipy's hyperu inside the box where it was measured to be
+    accurate, and everywhere else a trapezoidal quadrature of the integral
+    representation (`_log_u_trap`, within 1.1e-14 of 40-digit mpmath). The
+    box is b < 4 with b at least 0.1 from an integer, a <= b + 1 and
+    x < max(1, 2(b - a - 1)): against the trapezoid, hyperu was within 5.7e-14
+    in ln U at all 80,000 random points of it (1e-8 <= a, 1e-14 <= x). Outside
+    it hyperu is silently wrong in many places, for example by 24 in ln U at
+    U(3.997, 5, 0.0097) (integer b), 3.9e-11 at U(0.5, 9, 10.94), 5.8e-10 at
+    U(25.21, 30.42, 7.0), 1e-8 for a > b + 1 at small x, 4.5e-7 at large x,
+    and about 2e-15/|b - n| by cancellation for b near an integer n.
     """
     c = b - a - 1.0
-    if x >= max(1.0, 2.0 * c):
-        return _log_u_lag_s(a, b, x)
-    # the criterion takes Gamma(b-1) x^{1-b} as the size of the integral; for
-    # b < 2 the constant term of U's small-x expansion cancels it as b -> 1
-    if b >= 2.0 and (b - 1.0) * math.log(x) - sc.gammaln(b - 1.0) < -35.0:
-        return _log_u_lag_j(a, b, x)
-    if 0.0 < abs(b - round(b)) < 0.1:
-        return _log_u_trap(a, b, x)
-    h = sc.hyperu(a, b, x)
-    if math.isfinite(h) and h > 0:
-        return math.log(h)
-    # hyperu failed, e.g. U(0.5, 10.999999999999993, 17) < 0 on scipy 1.17
+    if b < 4.0 and abs(b - round(b)) >= 0.1 and c >= -2.0 and x < max(1.0, 2.0 * c):
+        h = sc.hyperu(a, b, x)
+        if math.isfinite(h) and h > 0:
+            return math.log(h)
     return _log_u_trap(a, b, x)
 
 

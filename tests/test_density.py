@@ -9,8 +9,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy import special as sc
 from scipy.integrate import quad
 
 from ncx2diff.density import (cf_inversion_pdf, char_fn_diff, char_fn_ncx2,
@@ -18,8 +19,9 @@ from ncx2diff.density import (cf_inversion_pdf, char_fn_diff, char_fn_ncx2,
                               ncx2_pdf, ncx2diff_pdf, ncx2diff_pdf_equal,
                               ncx2diff_pdf_one_sided, singularity_constant,
                               vgdiff_pdf)
-from ncx2diff.errors import SingularPointError
+from ncx2diff.errors import NonConvergenceError, SingularPointError
 from ncx2diff.params import ChiSqDiffParams, ProductNormalParams
+from ncx2diff.specfun import DEFAULT_CONTROL, log_comb, log_tricomi_u
 
 # (x, r, lam1, lam2) -> pdf, frozen from the 40-digit convolution oracle
 PDF_REFERENCE = [
@@ -32,11 +34,60 @@ PDF_REFERENCE = [
 ]
 
 
+
+def per_term_pdf(x, r, lam1, lam2, ctrl=DEFAULT_CONTROL):
+    """The double series term by term, one log_tricomi_u call per (j, k)
+    term: the reference for the b-recurrence of ncx2diff_pdf. Same weights and
+    stopping rule."""
+    if x < 0:
+        x, lam1, lam2 = -x, lam2, lam1
+    log_pref = -r * math.log(2.0) - (x + lam1 + lam2) / 2.0
+    llam1 = math.log(lam1) - math.log(2.0) if lam1 > 0 else -math.inf
+    llam2 = math.log(lam2) - math.log(2.0) if lam2 > 0 else -math.inf
+    total = 0.0
+    small_streak = 0
+    terms_used = 0
+    k = 0
+    while True:
+        outer = 0.0
+        for j in range(k + 1):
+            if lam1 == 0.0 and j < k:
+                continue
+            if lam2 == 0.0 and j > 0:
+                continue
+            a_jk = k - j
+            lcoef = log_comb(k, j) - sc.gammaln(k + 1.0) - sc.gammaln(r / 2.0 + a_jk) \
+                - k * math.log(2.0)
+            if k - j > 0:
+                lcoef += (k - j) * llam1
+            if j > 0:
+                lcoef += j * llam2
+            lu = log_tricomi_u(1.0 - r / 2.0 - a_jk, 2.0 - r - k, x)
+            outer += math.exp(log_pref + lcoef + lu)
+            terms_used += 1
+        total += outer
+        if terms_used > ctrl.max_terms:
+            raise NonConvergenceError("per-term series: max_terms exhausted")
+        if outer <= ctrl.abs_tol * max(total, ctrl.abs_tol):
+            small_streak += 1
+            if small_streak >= 3:
+                return total
+        else:
+            small_streak = 0
+        k += 1
+
+
 class TestAgainstConvolutionOracle:
     @pytest.mark.parametrize("x,r,l1,l2,ref", PDF_REFERENCE)
     def test_double_series(self, x, r, l1, l2, ref):
         assert ncx2diff_pdf(x, ChiSqDiffParams(r, l1, l2)) == pytest.approx(
             ref, rel=1e-10)
+
+    def test_small_x_central(self):
+        # its only term is U(1.86125, 3.7225, 1e-6), small x with 2 <= b < 4;
+        # 40-digit convolution reference
+        assert ncx2diff_pdf(-1e-6, ChiSqDiffParams(3.7225, 0.0, 0.0)) == pytest.approx(
+            0.132278122100730107001604399565, rel=1e-12)
 
     def test_central_bessel_form(self):
         assert vgdiff_pdf(1.3, 2.5) == pytest.approx(
@@ -168,3 +219,25 @@ class TestProperties:
         assert v >= 0.0
         assert ncx2diff_pdf(-x, q) == pytest.approx(
             ncx2diff_pdf(x, q.swapped()), rel=1e-10, abs=1e-280)
+
+
+class TestRecurrenceAgainstPerTermSeries:
+    @settings(max_examples=40, deadline=None)
+    @given(r=st.one_of(st.floats(0.3, 10.0), st.just(1.0),
+                       st.builds(lambda n, d: min(n + d, 10.0), st.integers(1, 10),
+                                 st.floats(-0.1, 0.1))),
+           l1=st.one_of(st.just(0.0), st.floats(0.0, 60.0)),
+           l2=st.one_of(st.just(0.0), st.floats(0.0, 60.0)),
+           u=st.floats(-1.0, 1.0))
+    # x = 7.00 takes the seed U(25.21, 30.42, 7.00), where scipy's hyperu is
+    # 5.8e-10 off in ln U
+    @example(r=8.424776141695384, l1=25.568720111860838, l2=41.291579150817235,
+             u=0.5325)
+    # subnormal x: the U ratios overflow unless scaled by x
+    @example(r=1.0, l1=0.0, l2=2.0, u=2.225073858507e-311)
+    def test_matches_per_term_series(self, r, l1, l2, u):
+        assume(l1 + l2 < 80.0)
+        x = u * (80.0 - l1 - l2)  # |x| + l1 + l2 <= 80
+        assume(x != 0.0)
+        assert ncx2diff_pdf(x, ChiSqDiffParams(r, l1, l2)) == pytest.approx(
+            per_term_pdf(x, r, l1, l2), rel=1e-11, abs=1e-300)
