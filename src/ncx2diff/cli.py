@@ -239,10 +239,6 @@ def _common_flags(parser, suppress=False):
                         default=argparse.SUPPRESS if suppress else "json")
     parser.add_argument("--out", default=d,
                         help="output path (default: stdout)")
-    parser.add_argument("--jobs", type=int,
-                        default=argparse.SUPPRESS if suppress else 1,
-                        help="parallelism bound (accepted for interface "
-                             "compatibility; execution is single-threaded)")
 
 
 def build_parser() -> argparse.ArgumentParser:

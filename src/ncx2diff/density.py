@@ -88,9 +88,11 @@ def _diff_pdf_nonneg(x: float, r: float, lam1: float, lam2: float,
 
     Outer index k sums the terms j = 0..k, each a Poisson-type weight times
     x^{r+k-1} U(r/2 + j, r + k, x). Column j of that U table is seeded by
-    log_tricomi_u at b = r + j and b = r + j + 1, then stepped in b by the
-    recurrence DLMF 13.3.8 in ratio form; U is the dominant solution in b, so
-    the forward recurrence is stable. That is two U calls per outer index.
+    log_tricomi_u at b = r + j, takes its value at b = r + j + 1 from that
+    seed and the next column's seed by DLMF 13.3.10, then is stepped in b by
+    the recurrence DLMF 13.3.8 in ratio form; U is the dominant solution in b,
+    so the forward recurrence is stable. That is one U call per outer index
+    (two at k = 1 when lam2 = 0, where the row has no diagonal).
 
     All terms are positive; the outer index is stopped once three consecutive
     outer contributions fall below abs_tol times the running sum (guards
@@ -131,12 +133,22 @@ def _diff_pdf_nonneg(x: float, r: float, lam1: float, lam2: float,
                 b = r + k - 1.0
                 rho[old] = (b - 1.0 + x) - (b - h - old - 1.0) * x / rho[old]
                 lu[old] += np.log(rho[old]) - lx
+            has_diag = first <= k <= last
+            if has_diag:
+                diag = log_tricomi_u(h + k, r + k, x)
             if first <= k - 1 <= last:
-                second = log_tricomi_u(h + k - 1.0, r + k, x)
-                rho[k - 1] = math.exp(second - lu[k - 1] + lx)
-                lu[k - 1] = second
-            if first <= k <= last:
-                lu = np.append(lu, log_tricomi_u(h + k, r + k, x))
+                if has_diag:
+                    # U(a, b) = a U(a+1, b) + U(a, b-1) (DLMF 13.3.10), all
+                    # terms positive; logaddexp because the exponent grows
+                    # like -ln x, past exp's range for subnormal x
+                    step = float(np.logaddexp(
+                        0.0, math.log(h + k - 1.0) + diag - lu[k - 1]))
+                else:
+                    step = log_tricomi_u(h + k - 1.0, r + k, x) - lu[k - 1]
+                rho[k - 1] = math.exp(step + lx)
+                lu[k - 1] += step
+            if has_diag:
+                lu = np.append(lu, diag)
                 rho = np.append(rho, math.nan)
             lu_row = (r + k - 1.0) * lx + lu[first:last + 1]
         # note the 2^{-k}: the correct Poisson-mixture weights are

@@ -15,7 +15,6 @@ from itertools import chain
 
 import numpy as np
 from scipy import special as sc
-from scipy import stats as st
 
 from .errors import DomainError, NonConvergenceError
 from .params import ChiSqDiffParams, ProductNormalParams, to_chisq_diff
@@ -53,14 +52,26 @@ class NegativityResult:
 
 
 def _poisson_cut(mu: float, tol: float, max_terms: int) -> int:
-    """Smallest J with P(Poisson(mu) > J) <= tol."""
+    """Smallest J with P(Poisson(mu) > J) <= tol: the (1 - tol) quantile, by
+    the inverse of the Poisson CDF and one step down, as scipy.stats.poisson
+    computes it."""
     if mu == 0.0:
         return 0
-    J = int(st.poisson.ppf(1.0 - tol, mu))
+    q = 1.0 - tol
+    J = math.ceil(sc.pdtrik(q, mu))
+    if J > 0 and sc.pdtr(J - 1, mu) >= q:
+        J -= 1
     if J + 1 > max_terms:
         raise NonConvergenceError(
             f"Poisson truncation needs {J + 1} terms > max_terms={max_terms}")
     return J
+
+
+def _poisson_pmf(J: int, mu: float) -> np.ndarray:
+    """Poisson(mu) probabilities of 0..J, formed as scipy.stats.poisson.pmf
+    forms them."""
+    k = np.arange(J + 1)
+    return np.exp(sc.xlogy(k, mu) - sc.gammaln(k + 1) - mu)
 
 
 def _beta_double_series(x: float, half_r1: float, half_r2: float,
@@ -70,8 +81,8 @@ def _beta_double_series(x: float, half_r1: float, half_r2: float,
     mu1, mu2 = lam1 / 2.0, lam2 / 2.0
     J = _poisson_cut(mu1, ctrl.abs_tol / 4.0, ctrl.max_terms)
     K = _poisson_cut(mu2, ctrl.abs_tol / 4.0, ctrl.max_terms)
-    wj = st.poisson.pmf(range(J + 1), mu1) if mu1 > 0 else [1.0]
-    wk = st.poisson.pmf(range(K + 1), mu2) if mu2 > 0 else np.ones(1)
+    wj = _poisson_pmf(J, mu1)
+    wk = _poisson_pmf(K, mu2)
     bk = half_r2 + np.arange(K + 1)
     # one betainc call per row j keeps memory at O(K); fsum over every
     # rectangle is exact, whatever the order
@@ -94,7 +105,7 @@ def _ncx2_cdf_mixture(c: float, r: float, lam: float,
         return NegativityResult(0.0, 1, 0.0)
     mu = lam / 2.0
     J = _poisson_cut(mu, ctrl.abs_tol / 4.0, ctrl.max_terms)
-    wj = st.poisson.pmf(range(J + 1), mu) if mu > 0 else np.ones(1)
+    wj = _poisson_pmf(J, mu)
     total = math.fsum((wj * sc.gammainc(r / 2.0 + np.arange(J + 1), c / 2.0)).tolist())
     return NegativityResult(
         probability=min(max(total, 0.0), 1.0),

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as st
 
 from .errors import DomainError
 from .params import ChiSqDiffParams, ProductNormalParams, to_chisq_diff
@@ -141,7 +140,9 @@ def ks_two_sample(a: SampleBatch, b: SampleBatch) -> tuple[float, float]:
     """Two-sample Kolmogorov-Smirnov statistic and asymptotic p-value."""
     if len(a) == 0 or len(b) == 0:
         raise DomainError("both batches must be nonempty")
-    res = st.ks_2samp(a.values, b.values, method="asymp")
+    from scipy import stats  # only user of scipy.stats; kept off the import path
+
+    res = stats.ks_2samp(a.values, b.values, method="asymp")
     return float(res.statistic), float(res.pvalue)
 
 

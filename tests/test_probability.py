@@ -3,6 +3,7 @@ published table, closed-form reductions, and structural identities."""
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +12,7 @@ from ncx2diff.errors import DomainError
 from ncx2diff.params import ChiSqDiffParams, ProductNormalParams
 from ncx2diff.probability import (TABLE1_FLAGGED, TABLE1_PAPER_VALUES,
                                   TABLE1_PRINTED_SLIPS, TABLE1_RHOS,
+                                  _poisson_cut, _poisson_pmf,
                                   prob_nonpositive_central,
                                   prob_nonpositive_diff, prob_nonpositive_sum,
                                   table1, table1_cell_ok, table1_summary)
@@ -101,6 +103,26 @@ class TestTruncationCertificate:
                                       SeriesControl(abs_tol=1e-13))
         assert loose.terms_used < tight.terms_used
         assert loose.probability == pytest.approx(tight.probability, abs=1e-4)
+
+    @pytest.mark.parametrize("tol", [1e-12, 2.5e-13])
+    def test_poisson_cut_and_weights_match_scipy_stats(self, tol):
+        # the cut and the weights are scipy.stats.poisson's own formulas,
+        # without importing scipy.stats; results must not move by one bit
+        from scipy.stats import poisson
+        # the last eight are means at which the ceiling of the continuous
+        # inverse pdtrik overshoots by one (four at each tol), so that the
+        # step down decides the cut
+        mus = np.concatenate([np.geomspace(1e-3, 2e4, 300),
+                              np.random.default_rng(3).uniform(1e-3, 2e4, 60),
+                              [0.19630729554191104, 1862.912326667865,
+                               9373.416561045291, 19202.66098663789,
+                               0.05389611198362863, 1417.1116371267065,
+                               6290.955604954618, 19086.79595642581]])
+        for mu in mus:
+            J = _poisson_cut(mu, tol, 10 ** 6)
+            assert J == int(poisson.ppf(1.0 - tol, mu)), mu
+            assert np.array_equal(_poisson_pmf(J, mu),
+                                  poisson.pmf(range(J + 1), mu)), mu
 
 
 @pytest.fixture(scope="module")

@@ -1,11 +1,12 @@
-"""Stein operator tests: exact symbolic reductions, null behaviour under the
-matching law, operator nesting, linearity, and power against perturbed laws."""
+"""Stein operator tests: exact derivatives of the test functions against
+mpmath, exact reductions, null behaviour under the matching law, operator
+nesting, linearity, one-draw reports, and power against perturbed laws."""
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
-import sympy as sp
 
 from ncx2diff.errors import DomainError, UnsupportedParameterError
 from ncx2diff.moments import diff_moment
@@ -15,16 +16,51 @@ from ncx2diff.stein import (TestFunction, apply_a1, apply_a2, apply_a3,
                             builtin_test_functions, stein_expectation,
                             stein_report)
 
-X = sp.Symbol("x")
 Q = ChiSqDiffParams(2.0, 1.0, 0.5)
 FUNCS = builtin_test_functions()
+ONE = TestFunction("1", [([1.0], [0.0])])
+# 2.5 x^2 e^{-x^2/2} - 1.25 sin(x) e^{-x^2/4}, one real and one complex term
+COMB = TestFunction("comb", [([0.0, 0.0, 2.5], [0.0, 0.0, -0.5]),
+                             ([1.25j], [0.0, 1j, -0.25])])
+
+
+class TestDerivatives:
+    # each function with an mpmath form written independently of its terms
+    CASES = [(f, lambda x, p=p: x ** p * mp.exp(-x ** 2 / 2))
+             for p, f in enumerate(FUNCS[:7])] + [
+        (FUNCS[7], lambda x: mp.exp(-x ** 2)),
+        (FUNCS[8], lambda x: mp.sin(x) * mp.exp(-x ** 2 / 4)),
+        (COMB, lambda x: 2.5 * x ** 2 * mp.exp(-x ** 2 / 2)
+         - 1.25 * mp.sin(x) * mp.exp(-x ** 2 / 4)),
+        (TestFunction("low", [([1.0, -1.0, 0.0, 0.5], [0.0, 0.2, -1 / 3])], order=2),
+         lambda x: (1 - x + x ** 3 / 2) * mp.exp(x / 5 - x ** 2 / 3)),
+    ]
+    XS = np.concatenate([np.linspace(-30.0, 30.0, 121),
+                         np.random.default_rng(7).uniform(-8.0, 8.0, 40)])
+
+    @pytest.mark.parametrize("f, expr", CASES, ids=[c[0].name for c in CASES])
+    def test_against_mpmath(self, f, expr):
+        with mp.workdps(30):
+            for j in range(f.order + 1):
+                ref = np.array([float(mp.diff(expr, mp.mpf(x), j)) for x in self.XS])
+                got = f.evaluate(j, self.XS)
+                assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), j
+
+    def test_scalar_and_array_shapes(self):
+        assert isinstance(FUNCS[8].evaluate(1, 0.5), float)
+        assert FUNCS[8].evaluate(1, np.zeros((2, 3))).shape == (2, 3)
+        assert ONE.evaluate(0, np.zeros(4)).tolist() == [1.0] * 4
+        assert ONE.evaluate(3, 2.0) == 0.0
+
+    def test_exponent_degree_enforced(self):
+        with pytest.raises(DomainError):
+            TestFunction("cubic", [([1.0], [0.0, 0.0, 0.0, -1.0])])
 
 
 class TestExactReductions:
     def test_a1_constant_function(self):
         # A1 1 = x - (l1 - l2), so E[A1 1] = mu'_1 - (l1-l2) = 0 exactly
-        one = TestFunction.from_expr("1", sp.Integer(1))
-        assert apply_a1(one, 3.7, Q) == pytest.approx(3.7 - 0.5)
+        assert apply_a1(ONE, 3.7, Q) == pytest.approx(3.7 - 0.5)
         assert diff_moment(1, Q) - (Q.lambda1 - Q.lambda2) == pytest.approx(0, abs=1e-12)
 
     def test_a1_identity_function(self):
@@ -53,8 +89,7 @@ class TestQuadratureNull:
         assert abs(est) <= max(unc, 1e-9)
 
     def test_a3_odd_integrand_exact_zero(self):
-        one = TestFunction.from_expr("1", sp.Integer(1))
-        est, _ = stein_expectation("a3", one, ChiSqDiffParams(3.0, 0.0, 0.0),
+        est, _ = stein_expectation("a3", ONE, ChiSqDiffParams(3.0, 0.0, 0.0),
                                    method="quadrature")
         assert est == pytest.approx(0.0, abs=1e-10)
 
@@ -95,10 +130,7 @@ class TestLinearity:
     def test_pointwise_linear_in_f(self):
         rng = np.random.default_rng(0)
         xs = rng.normal(size=30)
-        comb = TestFunction.from_expr(
-            "comb", 2.5 * X ** 2 * sp.exp(-X ** 2 / 2)
-            - 1.25 * sp.sin(X) * sp.exp(-X ** 2 / 4))
-        direct = apply_a1(comb, xs, Q)
+        direct = apply_a1(COMB, xs, Q)
         parts = 2.5 * apply_a1(FUNCS[2], xs, Q) - 1.25 * apply_a1(FUNCS[8], xs, Q)
         assert np.max(np.abs(direct - parts)) < 1e-12 * max(1, np.max(np.abs(direct)))
 
@@ -125,7 +157,7 @@ class TestValidation:
             stein_expectation("a9", FUNCS[0], Q)
 
     def test_derivative_order_enforced(self):
-        low = TestFunction.from_expr("low", sp.exp(-X ** 2), order=2)
+        low = TestFunction("low", [([1.0], [0.0, 0.0, -1.0])], order=2)
         with pytest.raises(DomainError):
             apply_a1(low, 1.0, Q)
 
@@ -134,3 +166,25 @@ class TestValidation:
         assert len(rows) == 2
         assert {"operator", "test_function", "params", "method",
                 "estimate", "uncertainty", "pass"} <= set(rows[0])
+
+
+class TestReportEquivalence:
+    def test_rows_equal_per_function_expectations(self):
+        # the report draws once; each row must still be exactly what a
+        # separate stein_expectation call with the same seed returns
+        rows = stein_report(Q, "a1", FUNCS + (COMB,), count=20000, seed=11)
+        for f, row in zip(FUNCS + (COMB,), rows):
+            assert (row["estimate"], row["uncertainty"]) == stein_expectation(
+                "a1", f, Q, count=20000, seed=11)
+
+    def test_report_draws_once(self, monkeypatch):
+        from ncx2diff import stein
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return sample_diff(*args)
+
+        monkeypatch.setattr(stein, "sample_diff", counted)
+        stein_report(Q, "a1", FUNCS, count=1000, seed=3)
+        assert len(calls) == 1
