@@ -12,13 +12,9 @@ from .density import (
     char_fn_sum,
     ncx2_pdf,
     ncx2diff_pdf,
-    ncx2diff_pdf_equal,
-    ncx2diff_pdf_one_sided,
     singularity_constant,
-    vgdiff_pdf,
 )
 from .errors import (
-    CancellationWarning,
     DomainError,
     InversionAccuracyError,
     Ncx2DiffError,

@@ -68,8 +68,7 @@ def _ctrl(args) -> SeriesControl:
     tol = args.abs_tol
     if tol is None:
         tol = float(os.environ.get("NCX2DIFF_ABS_TOL", 1e-12))
-    return SeriesControl(abs_tol=tol, rel_tol=args.rel_tol,
-                         max_terms=args.max_terms)
+    return SeriesControl(abs_tol=tol, max_terms=args.max_terms)
 
 
 def _emit_rows(rows, header, args):
@@ -231,8 +230,6 @@ def _common_flags(parser, suppress=False):
                         default=d,
                         help="series tolerance (default: NCX2DIFF_ABS_TOL env "
                              "var or 1e-12)")
-    parser.add_argument("--rel-tol", type=float,
-                        default=argparse.SUPPRESS if suppress else 1e-12)
     parser.add_argument("--max-terms", type=int,
                         default=argparse.SUPPRESS if suppress else 10000)
     parser.add_argument("--format", choices=["csv", "json"],

@@ -1,6 +1,6 @@
-"""Series densities for the noncentral chi-square difference law, the
-noncentral chi-square itself and the symmetric variance-gamma special case,
-together with the characteristic functions and a CF-inversion PDF oracle."""
+"""Series densities for the noncentral chi-square difference law and the
+noncentral chi-square itself, together with the characteristic functions and a
+CF-inversion PDF oracle."""
 
 from __future__ import annotations
 
@@ -23,16 +23,12 @@ from .specfun import (
     DEFAULT_CONTROL,
     SeriesControl,
     log_bessel_i,
-    log_bessel_k,
     log_tricomi_u,
 )
 
 __all__ = [
     "ncx2_pdf",
     "ncx2diff_pdf",
-    "ncx2diff_pdf_equal",
-    "ncx2diff_pdf_one_sided",
-    "vgdiff_pdf",
     "char_fn_product",
     "char_fn_sum",
     "char_fn_ncx2",
@@ -75,11 +71,6 @@ def ncx2_pdf(x: float, r: float, lam: float) -> float:
 
 # ---------------------------------------------------------------------------
 # difference-density series
-
-
-def _log_u_term(r: float, k: int, a_jk: int, x: float) -> float:
-    """ln U(1 - r/2 - a_jk, 2 - r - k, x); reflection is applied inside."""
-    return log_tricomi_u(1.0 - r / 2.0 - a_jk, 2.0 - r - k, x)
 
 
 def _diff_pdf_nonneg(x: float, r: float, lam1: float, lam2: float,
@@ -181,117 +172,6 @@ def ncx2diff_pdf(x: float, q: ChiSqDiffParams,
     if x >= 0:
         return _diff_pdf_nonneg(x, q.r, q.lambda1, q.lambda2, ctrl)
     return _diff_pdf_nonneg(-x, q.r, q.lambda2, q.lambda1, ctrl)
-
-
-def ncx2diff_pdf_equal(x: float, r: float, lam: float,
-                       ctrl: SeriesControl = DEFAULT_CONTROL) -> float:
-    """Single Bessel-K series for the equal-noncentrality case lam1 = lam2."""
-    if r <= 0 or lam < 0:
-        raise DomainError("require r > 0 and lambda >= 0")
-    ax = abs(x)
-    if ax == 0.0:
-        if r <= 2.0:
-            raise SingularPointError(x, "density singular/non-series at 0 for r <= 2")
-        # limit of |x|^{nu} K_nu(|x|/2) with nu = (r-1)/2 + k
-        log_pref = -r * math.log(2.0) - 0.5 * math.log(math.pi) - lam
-        total = 0.0
-        for k in range(ctrl.max_terms):
-            nu = (r - 1.0) / 2.0 + k
-            lt = log_pref + (k * (math.log(lam) - 2.0 * _LN2) if k else 0.0) \
-                - sc.gammaln(k + 1.0) - sc.gammaln(r / 2.0 + k) \
-                + sc.gammaln(nu) + 2.0 * nu * math.log(2.0) - math.log(2.0)
-            term = math.exp(lt)
-            total += term
-            if lam == 0.0 or (k > lam and term <= ctrl.abs_tol * total):
-                return total
-        raise NonConvergenceError("equal-lambda series did not converge at x=0")
-    log_pref = -r * math.log(2.0) - 0.5 * math.log(math.pi) - lam
-    total = 0.0
-    small_streak = 0
-    for k in range(ctrl.max_terms):
-        nu = (r - 1.0) / 2.0 + k
-        lt = log_pref - sc.gammaln(k + 1.0) - sc.gammaln(r / 2.0 + k) \
-            + nu * math.log(ax) + log_bessel_k(nu, ax / 2.0)
-        if k > 0:
-            if lam == 0.0:
-                break
-            lt += k * (math.log(lam) - 2.0 * _LN2)
-        term = math.exp(lt)
-        total += term
-        if term <= ctrl.abs_tol * max(total, ctrl.abs_tol):
-            small_streak += 1
-            if small_streak >= 3 or lam == 0.0:
-                return total
-        else:
-            small_streak = 0
-    if lam == 0.0:
-        return total
-    raise NonConvergenceError("equal-lambda density series did not converge")
-
-
-def ncx2diff_pdf_one_sided(x: float, r: float, lam1: float,
-                           ctrl: SeriesControl = DEFAULT_CONTROL) -> float:
-    """Single series for the one-sided case lam2 = 0."""
-    if r <= 0 or lam1 < 0:
-        raise DomainError("require r > 0 and lambda1 >= 0")
-    at_zero = x == 0.0
-    if at_zero and r <= 2.0:
-        raise SingularPointError(x, "density singular/non-series at 0 for r <= 2")
-    ax = abs(x)
-    log_pref = -r * math.log(2.0) - (ax + lam1) / 2.0
-    total = 0.0
-    small_streak = 0
-    for k in range(ctrl.max_terms):
-        a_0k = k if x >= 0 else 0
-        lt = log_pref - sc.gammaln(k + 1.0) - sc.gammaln(r / 2.0 + a_0k)
-        if k > 0:
-            if lam1 == 0.0:
-                break
-            lt += k * (math.log(lam1) - 2.0 * _LN2)
-        if at_zero:
-            # limit of x^{r+k-1} U(r/2 + k - a_0k, r+k, x)
-            lt += sc.gammaln(r + k - 1.0) - sc.gammaln(r / 2.0 + k - a_0k)
-        else:
-            lt += _log_u_term(r, k, a_0k, ax)
-        term = math.exp(lt)
-        total += term
-        if term <= ctrl.abs_tol * max(total, ctrl.abs_tol):
-            small_streak += 1
-            if small_streak >= 3 or lam1 == 0.0:
-                return total
-        else:
-            small_streak = 0
-    if lam1 == 0.0:
-        return total
-    raise NonConvergenceError("one-sided density series did not converge")
-
-
-def vgdiff_pdf(x: float, r: float) -> float:
-    """Central-case (lam1 = lam2 = 0) density: the symmetric variance-gamma law.
-
-    Evaluated through the Bessel-K form; the Tricomi-U single-term form is
-    evaluated alongside and the two are required to agree.
-    """
-    if r <= 0:
-        raise DomainError(f"require r > 0, got {r}")
-    ax = abs(x)
-    if ax == 0.0:
-        if r <= 1.0:
-            raise SingularPointError(x, "VG density diverges at 0 for r <= 1")
-        # limit |x|^{(r-1)/2} K_{(r-1)/2}(|x|/2) -> Gamma((r-1)/2) 2^{r-2}
-        logp = -r * math.log(2.0) - 0.5 * math.log(math.pi) - sc.gammaln(r / 2.0) \
-            + sc.gammaln((r - 1.0) / 2.0) + (r - 2.0) * math.log(2.0)
-        return math.exp(logp)
-    nu = (r - 1.0) / 2.0
-    log_k_form = -r * math.log(2.0) - 0.5 * math.log(math.pi) - sc.gammaln(r / 2.0) \
-        + nu * math.log(ax) + log_bessel_k(nu, ax / 2.0)
-    log_u_form = -r * math.log(2.0) - sc.gammaln(r / 2.0) - ax / 2.0 \
-        + log_tricomi_u(1.0 - r / 2.0, 2.0 - r, ax)
-    if abs(log_k_form - log_u_form) > 1e-9 * max(1.0, abs(log_k_form)) + 1e-11:
-        raise NonConvergenceError(
-            f"U-form and K-form of the VG density disagree at (x={x}, r={r}): "
-            f"{log_u_form} vs {log_k_form}")
-    return math.exp(log_k_form)
 
 
 def singularity_constant(lam1: float, lam2: float) -> float:

@@ -31,6 +31,3 @@ class InversionAccuracyError(Ncx2DiffError):
 class UnsupportedParameterError(Ncx2DiffError):
     """Operation is not defined for these parameter values."""
 
-
-class CancellationWarning(UserWarning):
-    """Alternating sum lost most of its significant digits."""

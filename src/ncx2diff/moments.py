@@ -1,23 +1,22 @@
 """Moments and cumulants of the noncentral chi-square difference and of sums of
 products of correlated normals.
 
-Raw moments of the difference are alternating binomial sums of noncentral
-chi-square moments; these are summed exactly in rational arithmetic. Raw
-moments of S_n are evaluated with sign-tracked log magnitudes and compensated
-summation, warning when catastrophic cancellation eats the result.
-Cumulants are available in closed form and are used for the central moments.
+Raw moments of the difference T = V1 - V2, and of S_n = c1 V1 - c2 V2 + shift
+through its chi-square representation, are alternating binomial sums of
+noncentral chi-square moments; both are summed exactly in rational arithmetic
+and rounded once. Cumulants are available in closed form and are used for the
+central moments.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
 from scipy import special as sc
 
-from .errors import CancellationWarning, DomainError
+from .errors import DomainError
 from .params import ChiSqDiffParams, ProductNormalParams, to_chisq_diff
 from .specfun import log_kummer_m
 
@@ -31,9 +30,8 @@ __all__ = [
     "sum_moment",
     "sum_cumulant",
     "sum_moment_set",
+    "raw_from_cumulants",
 ]
-
-_CANCEL_RATIO = 1e-10
 
 
 @dataclass(frozen=True)
@@ -98,26 +96,6 @@ def ncx2_cumulant(k: int, r: float, lam: float) -> float:
     return 2.0 ** (k - 1) * math.factorial(k - 1) * (r + k * lam)
 
 
-def _signed_sum(terms):
-    """Compensated sum of (sign, log_magnitude) terms with cancellation check.
-
-    Returns the sum; warns if the result is smaller than _CANCEL_RATIO times
-    the largest term magnitude (most significant digits lost).
-    """
-    finite = [(s, lm) for s, lm in terms if lm > -math.inf]
-    if not finite:
-        return 0.0
-    peak = max(lm for _, lm in finite)
-    total = math.fsum(s * math.exp(lm - peak) for s, lm in finite)
-    both_signs = any(s > 0 for s, _ in finite) and any(s < 0 for s, _ in finite)
-    if both_signs and abs(total) < _CANCEL_RATIO:
-        warnings.warn(
-            f"alternating moment sum cancelled to {abs(total):.2e} of its "
-            "largest term; the result has few significant digits",
-            CancellationWarning, stacklevel=3)
-    return total * math.exp(peak)
-
-
 def _ncx2_moments_exact(kmax: int, r: float, lam: float) -> list:
     """E[V^0], ..., E[V^kmax] for V ~ chi'^2_r(lambda) as exact rationals of
     the binary floats r and lam:
@@ -134,23 +112,36 @@ def _ncx2_moments_exact(kmax: int, r: float, lam: float) -> list:
     return out
 
 
-def _diff_moments(kmax: int, params: ChiSqDiffParams) -> list:
-    """E[T^1], ..., E[T^kmax] from one pair of exact ncx2 moment lists.
+def _diff_moments(kmax: int, r: float, lam1: float, lam2: float,
+                  c1: float = 1.0, c2: float = 1.0, shift: float = 0.0) -> list:
+    """E[X^1], ..., E[X^kmax] for X = c1 V1 - c2 V2 + shift, V1 and V2
+    independent chi'^2_r(lam1) and chi'^2_r(lam2), from one pair of exact
+    ncx2 moment lists.
 
-    E[T^k] = sum_{j=0}^{k} C(k,j) (-1)^{k-j} E[V1^j] E[V2^{k-j}] cancels badly
-    when lambda1 is near lambda2 (odd orders vanish at equality), so each sum
-    is taken in exact rational arithmetic and rounded once.
+    E[(c1 V1 - c2 V2)^k] = sum_{j=0}^{k} C(k,j) (-1)^{k-j} E[(c1 V1)^j]
+    E[(c2 V2)^{k-j}] cancels badly when the two sides nearly balance (odd
+    orders vanish for a law symmetric about 0), so each sum, and the binomial
+    shift after it, is taken in exact rational arithmetic of the binary floats
+    and rounded once.
     """
-    m1 = _ncx2_moments_exact(kmax, params.r, params.lambda1)
-    m2 = _ncx2_moments_exact(kmax, params.r, params.lambda2)
+    m1 = _ncx2_moments_exact(kmax, r, lam1)
+    m2 = _ncx2_moments_exact(kmax, r, lam2)
+    m1 = [Fraction(c1) ** j * m for j, m in enumerate(m1)]
+    m2 = [Fraction(c2) ** j * m for j, m in enumerate(m2)]
+    exact = [sum(math.comb(k, j) * (-1) ** (k - j) * m1[j] * m2[k - j]
+                 for j in range(k + 1))
+             for k in range(kmax + 1)]
+    if shift != 0.0:
+        d = Fraction(shift)
+        exact = [sum(math.comb(k, i) * d ** (k - i) * exact[i]
+                     for i in range(k + 1))
+                 for k in range(kmax + 1)]
     out = []
-    for k in range(1, kmax + 1):
-        exact = sum(math.comb(k, j) * (-1) ** (k - j) * m1[j] * m2[k - j]
-                    for j in range(k + 1))
+    for e in exact[1:]:
         try:
-            out.append(float(exact))
+            out.append(float(e))
         except OverflowError:
-            out.append(math.inf if exact > 0 else -math.inf)
+            out.append(math.inf if e > 0 else -math.inf)
     return out
 
 
@@ -163,7 +154,7 @@ def diff_moment(k: int, params: ChiSqDiffParams) -> float:
     _check_order(k)
     if k == 0:
         return 1.0
-    return _diff_moments(k, params)[-1]
+    return _diff_moments(k, params.r, params.lambda1, params.lambda2)[-1]
 
 
 def diff_cumulant(k: int, params: ChiSqDiffParams) -> float:
@@ -176,20 +167,19 @@ def diff_cumulant(k: int, params: ChiSqDiffParams) -> float:
             + sign * ncx2_cumulant(k, params.r, params.lambda2))
 
 
-def _central_from_cumulants(cums):
-    """Central moments mu_1..mu_n from cumulants kappa_1..kappa_n via
-    mu_n = sum_{i=0}^{n-2} C(n-1, i) kappa_{n-i} mu_i (mu_0 = 1, mu_1 = 0)."""
-    n = len(cums)
-    mu = [1.0, 0.0]
-    for m in range(2, n + 1):
-        mu.append(math.fsum(
-            math.comb(m - 1, i) * cums[m - i - 1] * mu[i]
-            for i in range(m - 1)))
-    return mu[1:n + 1]
+def raw_from_cumulants(cums) -> list:
+    """Raw moments mu'_1..mu'_n from cumulants kappa_1..kappa_n via
+    mu'_n = sum_{i=0}^{n-1} C(n-1, i) kappa_{n-i} mu'_i (mu'_0 = 1). With
+    kappa_1 = 0 these are the central moments."""
+    mu = [1.0]
+    for n in range(1, len(cums) + 1):
+        mu.append(math.fsum(math.comb(n - 1, i) * cums[n - i - 1] * mu[i]
+                            for i in range(n)))
+    return mu[1:]
 
 
 def _moment_set(raw, cums) -> MomentSet:
-    central = _central_from_cumulants(cums)
+    central = raw_from_cumulants([0.0, *cums[1:]])
     var = cums[1]
     return MomentSet(
         raw=tuple(raw),
@@ -206,45 +196,28 @@ def diff_moment_set(params: ChiSqDiffParams, kmax: int = 4) -> MomentSet:
     """Moments/cumulants of T = V1 - V2 up to order kmax (>= 4)."""
     if kmax < 4:
         raise DomainError("kmax must be at least 4 for the shape summaries")
-    raw = _diff_moments(kmax, params)
+    raw = _diff_moments(kmax, params.r, params.lambda1, params.lambda2)
     cums = [diff_cumulant(k, params) for k in range(1, kmax + 1)]
     return _moment_set(raw, cums)
+
+
+def _sum_moments(kmax: int, params: ProductNormalParams) -> list:
+    q = to_chisq_diff(params)
+    return _diff_moments(kmax, q.r, q.lambda_plus, q.lambda_minus,
+                         q.scale_plus, q.scale_minus, q.shift)
 
 
 def sum_moment(k: int, params: ProductNormalParams) -> float:
     """Raw moment E[S_n^k] of the sum of n products of correlated normals.
 
     Expanded through the difference-of-chi-squares representation
-    S_n = c1*V1 - c2*V2 + shift (shift nonzero only for rho = +-1):
-    E[S_n^k] = sum_{i+j+l=k} k!/(i! j! l!) c1^i (-c2)^j shift^l E[V1^i] E[V2^j].
+    S_n = c1*V1 - c2*V2 + shift (shift nonzero only for rho = +-1) and summed
+    exactly (see _diff_moments).
     """
     _check_order(k)
     if k == 0:
         return 1.0
-    q = to_chisq_diff(params)
-    terms = []
-    lk = sc.gammaln(k + 1)
-    lc1 = math.log(q.scale_plus) if q.scale_plus > 0 else -math.inf
-    lc2 = math.log(q.scale_minus) if q.scale_minus > 0 else -math.inf
-    lsh = math.log(abs(q.shift)) if q.shift != 0.0 else -math.inf
-    ssh = 1.0 if q.shift >= 0 else -1.0
-    for i in range(k + 1):
-        li = (0.0 if i == 0 else i * lc1) + log_ncx2_moment(i, q.r, q.lambda_plus)
-        if li == -math.inf and i > 0:
-            continue
-        for j in range(k - i + 1):
-            l = k - i - j
-            lj = (0.0 if j == 0 else j * lc2) + log_ncx2_moment(j, q.r, q.lambda_minus)
-            if lj == -math.inf and j > 0:
-                continue
-            ll = 0.0 if l == 0 else l * lsh
-            if ll == -math.inf:
-                continue
-            sign = (-1.0) ** j * (ssh ** l)
-            lm = (lk - sc.gammaln(i + 1) - sc.gammaln(j + 1) - sc.gammaln(l + 1)
-                  + li + lj + ll)
-            terms.append((sign, lm))
-    return _signed_sum(terms)
+    return _sum_moments(k, params)[-1]
 
 
 def sum_cumulant(k: int, params: ProductNormalParams) -> float:
@@ -269,6 +242,6 @@ def sum_moment_set(params: ProductNormalParams, kmax: int = 4) -> MomentSet:
     """Moments/cumulants of S_n up to order kmax (>= 4)."""
     if kmax < 4:
         raise DomainError("kmax must be at least 4 for the shape summaries")
-    raw = [sum_moment(k, params) for k in range(1, kmax + 1)]
+    raw = _sum_moments(kmax, params)
     cums = [sum_cumulant(k, params) for k in range(1, kmax + 1)]
     return _moment_set(raw, cums)

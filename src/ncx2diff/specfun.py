@@ -1,5 +1,5 @@
-"""Special-function kernel: log-gamma, modified Bessel I/K, Kummer M, Tricomi U,
-regularized incomplete beta.
+"""Special-function kernel in log form: modified Bessel I/K, Kummer M and
+Tricomi U.
 
 Production evaluation is delegated to scipy.special where it is accurate in the
 regimes we need; the overflow corners (large-order Bessel K, large second
@@ -19,16 +19,10 @@ from .errors import DomainError, NonConvergenceError
 
 __all__ = [
     "SeriesControl",
-    "log_gamma",
-    "bessel_i",
     "log_bessel_i",
-    "bessel_k",
     "log_bessel_k",
-    "kummer_m",
     "log_kummer_m",
-    "tricomi_u",
     "log_tricomi_u",
-    "reg_inc_beta",
 ]
 
 
@@ -41,36 +35,16 @@ class SeriesControl:
     """
 
     abs_tol: float = 1e-12
-    rel_tol: float = 1e-12
     max_terms: int = 10000
 
     def __post_init__(self):
-        if not (self.abs_tol > 0 and self.rel_tol > 0):
-            raise DomainError("tolerances must be positive")
+        if not self.abs_tol > 0:
+            raise DomainError("abs_tol must be positive")
         if self.max_terms < 1:
             raise DomainError("max_terms must be >= 1")
 
 
 DEFAULT_CONTROL = SeriesControl()
-
-
-def log_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0."""
-    if x <= 0:
-        raise DomainError(f"log_gamma requires x > 0, got {x}")
-    return float(sc.gammaln(x))
-
-
-def bessel_i(nu: float, x: float) -> float:
-    """Modified Bessel function of the first kind I_nu(x), nu >= 0, x >= 0.
-
-    Overflows to inf for x beyond ~700; use log_bessel_i there.
-    """
-    if nu < 0:
-        raise DomainError(f"bessel_i requires nu >= 0, got {nu}")
-    if x < 0:
-        raise DomainError(f"bessel_i requires x >= 0, got {x}")
-    return float(sc.iv(nu, x))
 
 
 def log_bessel_i(nu: float, x: float) -> float:
@@ -99,17 +73,6 @@ def log_bessel_i(nu: float, x: float) -> float:
     return float(sc.logsumexp(logs))
 
 
-def bessel_k(nu: float, x: float) -> float:
-    """Modified Bessel function of the second kind K_nu(x), x > 0.
-
-    Symmetric in nu. Overflow corners (large |nu|, small x) return inf; use
-    log_bessel_k there.
-    """
-    if x <= 0:
-        raise DomainError(f"bessel_k requires x > 0, got {x}")
-    return float(sc.kv(abs(nu), x))
-
-
 def log_bessel_k(nu: float, x: float) -> float:
     """ln K_nu(x), stable for large order and/or large argument."""
     if x <= 0:
@@ -133,27 +96,12 @@ def log_bessel_k(nu: float, x: float) -> float:
             + math.log(total))
 
 
-def _check_kummer_b(b: float):
-    if b <= 0 and b == math.floor(b):
-        raise DomainError(f"kummer_m undefined for nonpositive integer b={b}")
-
-
-def kummer_m(a: float, b: float, x: float, ctrl: SeriesControl = DEFAULT_CONTROL) -> float:
-    """Confluent hypergeometric function of the first kind M(a, b, x)."""
-    _check_kummer_b(b)
-    val = sc.hyp1f1(a, b, x)
-    if math.isfinite(val):
-        return float(val)
-    raise NonConvergenceError(f"kummer_m overflowed at (a={a}, b={b}, x={x}); use log_kummer_m")
-
-
 def log_kummer_m(a: float, b: float, x: float, ctrl: SeriesControl = DEFAULT_CONTROL) -> float:
     """ln M(a, b, x) for a > 0, b > 0, x >= 0 (all series terms positive).
 
     This is the overflow-safe route for large x; the moment formulas only need
     this positive-parameter region.
     """
-    _check_kummer_b(b)
     if a <= 0 or b <= 0 or x < 0:
         raise DomainError("log_kummer_m requires a > 0, b > 0, x >= 0")
     if x == 0:
@@ -237,32 +185,6 @@ def _log_u_core(a: float, b: float, x: float) -> float:
     return _log_u_trap(a, b, x)
 
 
-def tricomi_u(a: float, b: float, x: float) -> float:
-    """Confluent hypergeometric function of the second kind U(a, b, x), x > 0.
-
-    All b < 1 (including the nonpositive integers arising in the density
-    series) are routed through the reflection U(a,b,x) = x^{1-b} U(a-b+1, 2-b, x),
-    which always lands in b >= 1 with positive first parameter there.
-    """
-    if x <= 0:
-        raise DomainError(f"tricomi_u requires x > 0, got {x}")
-    if b < 1.0:
-        return x ** (1.0 - b) * tricomi_u(a - b + 1.0, 2.0 - b, x)
-    if a == 0.0:
-        return 1.0
-    if a < 0 and a == math.floor(a):
-        # polynomial case: U(-n, b, x) = (-1)^n n! L_n^{(b-1)}(x)
-        n = int(-a)
-        sign = 1.0 if n % 2 == 0 else -1.0
-        return sign * math.factorial(n) * float(sc.eval_genlaguerre(n, b - 1.0, x))
-    if a > 0:
-        return math.exp(_log_u_core(a, b, x))
-    val = sc.hyperu(a, b, x)
-    if math.isfinite(val):
-        return float(val)
-    raise NonConvergenceError(f"tricomi_u failed at (a={a}, b={b}, x={x})")
-
-
 def log_tricomi_u(a: float, b: float, x: float) -> float:
     """ln U(a, b, x); requires a parameter region where U > 0 (first parameter
     positive after the b < 1 reflection)."""
@@ -273,17 +195,3 @@ def log_tricomi_u(a: float, b: float, x: float) -> float:
     if a <= 0:
         raise DomainError("log_tricomi_u requires a > 0 (after reflection)")
     return _log_u_core(a, b, x)
-
-
-def reg_inc_beta(x: float, a: float, b: float) -> float:
-    """Regularized incomplete beta function I_x(a, b)."""
-    if not (0.0 <= x <= 1.0):
-        raise DomainError(f"reg_inc_beta requires 0 <= x <= 1, got {x}")
-    if a <= 0 or b <= 0:
-        raise DomainError(f"reg_inc_beta requires a, b > 0, got a={a}, b={b}")
-    return float(sc.betainc(a, b, x))
-
-
-def log_comb(n: int, k: int) -> float:
-    """ln C(n, k); shared helper for the binomial series."""
-    return float(sc.gammaln(n + 1) - sc.gammaln(k + 1) - sc.gammaln(n - k + 1))

@@ -1,7 +1,10 @@
 """Acceptance gate: the nine release criteria at full strength.
 
-Each test prints a single CRITERION line (PASS/FAIL) before asserting, so the
-battery's verdict is readable even from a failing run.
+Each criterion is implemented once, in ncx2diff.selftest; these tests call it
+at FULL strength with their own base seeds, add the wall-time bounds of
+criteria 1 and 2, and compare two `selftest` subprocess reports byte for byte
+(criterion 9). Each test prints a single CRITERION line (PASS/FAIL) before
+asserting, so the battery's verdict is readable even from a failing run.
 
 Two criteria carry findings about the published results; each is asserted as
 what is true:
@@ -27,35 +30,23 @@ what is true:
   l1 != l2), and requires it within 10% of C.
 """
 
-import math
+import json
 import subprocess
 import sys
 import time
 
-import numpy as np
-import pytest
-from scipy.integrate import quad
-
-from ncx2diff.density import (cf_inversion_pdf, char_fn_diff, ncx2diff_pdf,
-                              ncx2diff_pdf_equal, ncx2diff_pdf_one_sided,
-                              singularity_constant, vgdiff_pdf)
-from ncx2diff.moments import (diff_cumulant, ncx2_cumulant, ncx2_moment,
-                              sum_cumulant, sum_moment)
-from ncx2diff.params import ChiSqDiffParams, ProductNormalParams
-from ncx2diff.probability import (prob_nonpositive_sum, table1,
-                                  table1_cell_ok)
-from ncx2diff.sampling import (ks_two_sample, sample_diff,
-                               sample_product_definitional,
-                               sample_sum_via_representation)
-from ncx2diff.selftest import finite_diff_cumulant
-from ncx2diff.stein import (apply_a1, builtin_test_functions,
-                            stein_expectation, stein_report)
+from ncx2diff.selftest import (FULL, criterion_density, criterion_ks,
+                               criterion_moments, criterion_normalisation,
+                               criterion_prob_mc, criterion_singularity,
+                               criterion_stein, criterion_table1)
 
 
-def verdict(capsys, num, name, ok, detail=""):
-    line = f"CRITERION {num}: {'PASS' if ok else 'FAIL'} - {name}"
-    if detail:
-        line += f" [{detail}]"
+def verdict(capsys, crit, ok=True, note=""):
+    ok = ok and crit["pass"]
+    line = (f"CRITERION {crit['id']}: {'PASS' if ok else 'FAIL'} - {crit['name']}"
+            f" {json.dumps(crit['detail'], sort_keys=True)}")
+    if note:
+        line += f" [{note}]"
     with capsys.disabled():
         print(line, flush=True)
     assert ok, line
@@ -63,176 +54,40 @@ def verdict(capsys, num, name, ok, detail=""):
 
 def test_criterion_1_table1(capsys):
     t0 = time.time()
-    rows = table1()
+    crit = criterion_table1()
     elapsed = time.time() - t0
-    bad = [(r["mu_x"], r["mu_y"], r["rho"], r["paper_value"], r["probability"])
-           for r in rows if not r["flagged"] and not table1_cell_ok(r)]
-    flagged = [r for r in rows if r["flagged"]]
-    flag_ok = (len(flagged) == 1
-               and abs(flagged[0]["probability"] - 0.7699) <= 5e-5)
-    ok = not bad and flag_ok and elapsed <= 60
-    verdict(capsys, 1, "table reproduction within 5e-5 (flagged cell = 0.7699, "
-            "printed slips = exact within 1e-10)", ok,
-            f"{len(bad)} cells out of bounds: {bad}; runtime {elapsed:.1f}s")
+    verdict(capsys, crit, elapsed <= 60, f"runtime {elapsed:.1f}s")
 
 
 def test_criterion_2_probability_monte_carlo(capsys):
     t0 = time.time()
-    count = 10 ** 7
-    grid = [ProductNormalParams(mx, my, sx, sy, rho, n)
-            for (mx, my, sx, sy) in [(0, 0, 1, 1), (1, 1, 1, 1),
-                                     (2, -1, 1, 2), (0.5, 0.3, 1.5, 0.8)]
-            for (rho, n) in [(-0.75, 1), (0.0, 2), (0.75, 5)]]
-    worst = 0.0
-    for i, p in enumerate(grid):
-        exact = prob_nonpositive_sum(p).probability
-        s = sample_product_definitional(p, count, 1000 + i).values
-        mc = float((s <= 0).mean())
-        se = math.sqrt(max(mc * (1 - mc), 1e-12) / count)
-        worst = max(worst, abs(exact - mc) / se)
+    crit = criterion_prob_mc(1000, FULL.mc)
     elapsed = time.time() - t0
-    ok = worst <= 4.0 and elapsed <= 600
-    verdict(capsys, 2, "negativity probability vs 1e7-sample Monte Carlo", ok,
-            f"worst {worst:.2f} s.e. over {len(grid)} sets; {elapsed:.0f}s")
+    verdict(capsys, crit, elapsed <= 600, f"runtime {elapsed:.0f}s")
 
 
 def test_criterion_3_density_cross_validation(capsys):
-    worst_cf = worst_eq = worst_u = 0.0
-    for r in [1.0, 2.0, 3.5]:
-        for l1 in [0.0, 1.0, 4.0]:
-            for l2 in [0.0, 1.0, 4.0]:
-                q = ChiSqDiffParams(r, l1, l2)
-                for x in [-3.0, -1.0, -0.25, 0.25, 1.0, 3.0]:
-                    a = ncx2diff_pdf(x, q)
-                    b = cf_inversion_pdf(x, lambda t: char_fn_diff(t, q))
-                    worst_cf = max(worst_cf, abs(a - b))
-            for x in [-3.0, -0.25, 0.7, 3.0]:
-                e3 = ncx2diff_pdf(x, ChiSqDiffParams(r, l1, l1))
-                e4 = ncx2diff_pdf_equal(x, r, l1)
-                worst_eq = max(worst_eq, abs(e3 - e4) / e4)
-                o3 = ncx2diff_pdf(x, ChiSqDiffParams(r, l1, 0.0))
-                o5 = ncx2diff_pdf_one_sided(x, r, l1)
-                worst_u = max(worst_u, abs(o3 - o5) / max(o5, 1e-300))
-        if r > 1:
-            for x in [-2.0, 0.5, 4.0]:
-                u5 = vgdiff_pdf(x, r)
-                u6 = ncx2diff_pdf_equal(x, r, 0.0)
-                worst_u = max(worst_u, abs(u5 - u6) / u6)
-    ok = worst_cf <= 1e-6 and worst_eq <= 1e-9 and worst_u <= 1e-10
-    verdict(capsys, 3, "density vs CF inversion (1e-6) and cross-forms (1e-9/1e-10)",
-            ok, f"cf {worst_cf:.2e}, equal {worst_eq:.2e}, forms {worst_u:.2e}")
+    verdict(capsys, criterion_density())
 
 
 def test_criterion_4_normalisation(capsys):
-    worst = 0.0
-    for r in [0.5, 1.0, 2.0, 3.5]:
-        for (l1, l2) in [(0.0, 0.0), (1.0, 4.0), (4.0, 4.0)]:
-            q = ChiSqDiffParams(r, l1, l2)
-            total = (quad(lambda x: ncx2diff_pdf(x, q), -np.inf, 0, limit=200)[0]
-                     + quad(lambda x: ncx2diff_pdf(x, q), 0, np.inf, limit=200)[0])
-            worst = max(worst, abs(total - 1.0))
-    verdict(capsys, 4, "density integrates to 1 within 1e-6 (incl. r <= 1)",
-            worst <= 1e-6, f"worst {worst:.2e}")
+    verdict(capsys, criterion_normalisation())
 
 
 def test_criterion_5_moments_cumulants(capsys):
-    def raw_from_cumulants(kappas):
-        mu = [1.0]
-        for n in range(1, len(kappas) + 1):
-            mu.append(math.fsum(math.comb(n - 1, i) * kappas[n - i - 1] * mu[i]
-                                for i in range(n)))
-        return mu[1:]
-
-    worst_m = 0.0
-    for (r, lam) in [(3.0, 1.2), (0.5, 4.0), (7.0, 0.0)]:
-        mus = raw_from_cumulants([ncx2_cumulant(j, r, lam) for j in range(1, 11)])
-        for k in range(1, 11):
-            worst_m = max(worst_m,
-                          abs(ncx2_moment(k, r, lam) - mus[k - 1]) / mus[k - 1])
-    worst_s = 0.0
-    for p in [ProductNormalParams(0.5, -0.3, 1.2, 0.8, 0.4, 3),
-              ProductNormalParams(1.0, 1.0, 1.0, 2.0, -0.75, 2),
-              ProductNormalParams(0.7, 0.2, 1.0, 1.0, 1.0, 2),
-              ProductNormalParams(0.7, 0.2, 1.5, 0.5, -1.0, 1)]:
-        mus = raw_from_cumulants([sum_cumulant(j, p) for j in range(1, 5)])
-        for k in range(1, 5):
-            worst_s = max(worst_s, abs(sum_moment(k, p) - mus[k - 1])
-                          / max(abs(mus[k - 1]), 1e-12))
-    q = ChiSqDiffParams(3.0, 1.2, 0.4)
-    worst_cf = max(
-        abs(finite_diff_cumulant(lambda t: char_fn_diff(t, q), k)
-            - diff_cumulant(k, q)) / abs(diff_cumulant(k, q))
-        for k in range(1, 5))
-    count = 10 ** 7
-    s = sample_diff(q, count, 77).values
-    se1 = s.std(ddof=1) / math.sqrt(count)
-    c2 = (s - s.mean()) ** 2
-    se2 = c2.std(ddof=1) / math.sqrt(count)
-    emp_ok = (abs(s.mean() - diff_cumulant(1, q)) <= 4 * se1
-              and abs(c2.mean() - diff_cumulant(2, q)) <= 4 * se2)
-    ok = (worst_m <= 1e-12 and worst_s <= 1e-10 and worst_cf <= 1e-5 and emp_ok)
-    verdict(capsys, 5, "moments/cumulants: dual routes, CF derivatives, sampling", ok,
-            f"ncx2 {worst_m:.2e}, sum {worst_s:.2e}, cf {worst_cf:.2e}, "
-            f"empirical_ok {emp_ok}")
+    verdict(capsys, criterion_moments(77, FULL.mc))
 
 
 def test_criterion_6_representation_equality(capsys):
-    results = {}
-    ok = True
-    for gi, rho in enumerate([-1.0, -0.75, 0.0, 0.75, 1.0]):
-        p = ProductNormalParams(1.0, -1.0, rho=rho, n=2)
-        passes = 0
-        for rep in range(100):
-            a = sample_product_definitional(p, 20000, 50000 + 1000 * gi + 2 * rep)
-            b = sample_sum_via_representation(p, 20000, 50000 + 1000 * gi + 2 * rep + 1)
-            _, pv = ks_two_sample(a, b)
-            passes += pv >= 0.01
-        results[rho] = passes
-        ok = ok and passes >= 95
-    verdict(capsys, 6, "definitional vs representation samplers: KS >= 95/100", ok,
-            f"passes per rho {results}")
+    verdict(capsys, criterion_ks(50000, FULL.ks_reps, FULL.ks_needed))
 
 
 def test_criterion_7_stein_suite(capsys):
-    funcs = builtin_test_functions()
-    null_ok = True
-    null_sets = [("a1", ChiSqDiffParams(2.0, 1.0, 0.5)),
-                 ("a1", ChiSqDiffParams(3.0, 0.0, 4.0)),
-                 ("a1", ChiSqDiffParams(0.5, 1.0, 1.0)),
-                 ("a1", ChiSqDiffParams(1.5, 2.0, 2.0)),
-                 ("a2", ChiSqDiffParams(1.5, 2.0, 0.0)),
-                 ("a3", ChiSqDiffParams(2.0, 0.0, 0.0))]
-    for si, (op, q) in enumerate(null_sets):
-        rows = stein_report(q, op, funcs, count=10 ** 6, seed=9000 + si)
-        null_ok = null_ok and all(r["pass"] for r in rows)
-    base = ChiSqDiffParams(2.0, 1.0, 0.5)
-    t = sample_diff(ChiSqDiffParams(2.0, 2.0, 0.5), 10 ** 7, 4242).values
-    power = 0.0
-    for f in funcs:
-        vals = apply_a1(f, t, base)
-        power = max(power, abs(float(vals.mean()))
-                    / (vals.std(ddof=1) / math.sqrt(len(t))))
-    em, um = stein_expectation("a1", funcs[7], base, count=10 ** 6, seed=31)
-    eq, uq = stein_expectation("a1", funcs[7], base, method="quadrature")
-    agree = abs(em - eq) <= 4 * um + uq
-    ok = null_ok and power >= 6.0 and agree
-    verdict(capsys, 7, "Stein null (4 s.e.) / power (6 s.e.) / cross-method", ok,
-            f"null_ok {null_ok}, power {power:.1f}, agree {agree}")
+    verdict(capsys, criterion_stein(9000, FULL.stein, FULL.power))
 
 
 def test_criterion_8_singularity_constant(capsys):
-    devs = {}
-    ok = True
-    for (l1, l2) in [(0.0, 0.0), (1.0, 0.5), (2.0, 2.0)]:
-        q = ChiSqDiffParams(1.0, l1, l2)
-        for x in (1e-5, -1e-5):
-            # slope of p against -ln|x| over one decade
-            coef = (ncx2diff_pdf(x, q) - ncx2diff_pdf(10 * x, q)) / math.log(10)
-            dev = abs(coef / singularity_constant(l1, l2) - 1.0)
-            devs[(l1, l2, x)] = f"{dev:.2e}"
-            ok = ok and dev <= 0.10
-    verdict(capsys, 8, "r=1 log-singularity coefficient within 10% at x=+-1e-5", ok,
-            f"deviations {devs}")
+    verdict(capsys, criterion_singularity())
 
 
 def test_criterion_9_selftest_determinism(tmp_path, capsys):
@@ -246,4 +101,5 @@ def test_criterion_9_selftest_determinism(tmp_path, capsys):
         assert proc.returncode in (0, 1), proc.stderr
         outs.append(open(path, "rb").read())
     ok = outs[0] == outs[1] and len(outs[0]) > 0
-    verdict(capsys, 9, "selftest --seed 42 reports byte-identical", ok)
+    verdict(capsys, {"id": 9, "name": "selftest --seed 42 reports byte-identical",
+                     "pass": ok, "detail": {}})

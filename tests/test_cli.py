@@ -130,9 +130,12 @@ class TestSteinCheck:
 
 class TestExitCodes:
     def test_flag_error_is_2(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            run(capsys, "pdf", "--diff", "--grid", "0:1:2")
-        assert exc.value.code == 2
+        # a missing --r, and the removed --rel-tol flag
+        for argv in (["pdf", "--diff", "--grid", "0:1:2"],
+                     ["--rel-tol", "1e-9", "prob-neg", "--diff", "--r", "2"]):
+            with pytest.raises(SystemExit) as exc:
+                run(capsys, *argv)
+            assert exc.value.code == 2
 
     def test_bad_grid_is_2(self, capsys):
         code, _, err = run(capsys, "pdf", "--diff", "--r", "3", "--grid", "bad")

@@ -16,12 +16,11 @@ from scipy.integrate import quad
 
 from ncx2diff.density import (cf_inversion_pdf, char_fn_diff, char_fn_ncx2,
                               char_fn_product, char_fn_sum, char_fn_sum_direct,
-                              ncx2_pdf, ncx2diff_pdf, ncx2diff_pdf_equal,
-                              ncx2diff_pdf_one_sided, singularity_constant,
-                              vgdiff_pdf)
+                              ncx2_pdf, ncx2diff_pdf, singularity_constant)
 from ncx2diff.errors import NonConvergenceError, SingularPointError
 from ncx2diff.params import ChiSqDiffParams, ProductNormalParams
-from ncx2diff.specfun import DEFAULT_CONTROL, log_comb, log_tricomi_u
+from ncx2diff.selftest import _equal_lambda_pdf
+from ncx2diff.specfun import DEFAULT_CONTROL, log_tricomi_u
 
 # (x, r, lam1, lam2) -> pdf, frozen from the 40-digit convolution oracle
 PDF_REFERENCE = [
@@ -33,6 +32,10 @@ PDF_REFERENCE = [
     (1.3, 2.5, 0.0, 0.0, 0.126762370212030256433050703335),
 ]
 
+
+def log_comb(n, k):
+    """ln C(n, k)."""
+    return float(sc.gammaln(n + 1) - sc.gammaln(k + 1) - sc.gammaln(n - k + 1))
 
 
 def per_term_pdf(x, r, lam1, lam2, ctrl=DEFAULT_CONTROL):
@@ -90,7 +93,8 @@ class TestAgainstConvolutionOracle:
             0.132278122100730107001604399565, rel=1e-12)
 
     def test_central_bessel_form(self):
-        assert vgdiff_pdf(1.3, 2.5) == pytest.approx(
+        # the Bessel-K oracle at lambda = 0: the variance-gamma density
+        assert _equal_lambda_pdf(1.3, 2.5, 0.0) == pytest.approx(
             0.126762370212030256433050703335, rel=1e-12)
 
 
@@ -100,22 +104,24 @@ class TestCrossFormAgreement:
     def test_equal_lambda_series(self, r, lam):
         for x in [-5.0, -0.25, 0.25, 0.7, 3.0, 10.0]:
             d = ncx2diff_pdf(x, ChiSqDiffParams(r, lam, lam))
-            e = ncx2diff_pdf_equal(x, r, lam)
+            e = _equal_lambda_pdf(x, r, lam)
             assert d == pytest.approx(e, rel=1e-9, abs=1e-300)
 
-    @pytest.mark.parametrize("r", [0.5, 1.0, 2.0, 3.0, 7.0])
-    @pytest.mark.parametrize("lam", [0.0, 0.5, 4.0])
+    @pytest.mark.parametrize("r", [0.5, 1.0, 2.0, 3.0, 3.5, 7.0])
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0, 4.0])
     def test_one_sided_series(self, r, lam):
-        for x in [-5.0, -0.25, 0.25, 0.7, 3.0, 10.0]:
+        # lambda2 = 0: the b-recurrence against the term-by-term series
+        for x in [-5.0, -3.0, -0.25, 0.25, 0.7, 3.0, 10.0]:
             d = ncx2diff_pdf(x, ChiSqDiffParams(r, lam, 0.0))
-            o = ncx2diff_pdf_one_sided(x, r, lam)
-            assert d == pytest.approx(o, rel=1e-9, abs=1e-300)
+            o = per_term_pdf(x, r, lam, 0.0)
+            assert d == pytest.approx(o, rel=1e-10, abs=1e-300)
 
     @pytest.mark.parametrize("r", [1.5, 2.0, 3.0, 7.0])
     def test_central_forms(self, r):
+        # the U form of the series against the variance-gamma K form
         for x in [-3.0, -0.5, 0.5, 3.0, 15.0]:
-            assert vgdiff_pdf(x, r) == pytest.approx(
-                ncx2diff_pdf_equal(x, r, 0.0), rel=1e-10)
+            assert ncx2diff_pdf(x, ChiSqDiffParams(r, 0.0, 0.0)) == pytest.approx(
+                _equal_lambda_pdf(x, r, 0.0), rel=1e-10)
 
     def test_swap_symmetry(self):
         q = ChiSqDiffParams(2.5, 1.7, 0.3)

@@ -2,28 +2,18 @@
 high-precision references, and CF log-derivatives."""
 
 import math
-import warnings
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ncx2diff.density import char_fn_diff, char_fn_sum
-from ncx2diff.errors import CancellationWarning, DomainError
+from ncx2diff.errors import DomainError
 from ncx2diff.moments import (diff_cumulant, diff_moment, diff_moment_set,
-                              ncx2_cumulant, ncx2_moment, sum_cumulant,
-                              sum_moment, sum_moment_set)
+                              ncx2_cumulant, ncx2_moment, raw_from_cumulants,
+                              sum_cumulant, sum_moment, sum_moment_set)
 from ncx2diff.params import ChiSqDiffParams, ProductNormalParams
 from ncx2diff.selftest import finite_diff_cumulant
-
-
-def raw_from_cumulants(kappas):
-    """mu'_n = sum_{i<n} C(n-1,i) kappa_{n-i} mu'_i - the independent route."""
-    mu = [1.0]
-    for n in range(1, len(kappas) + 1):
-        mu.append(math.fsum(math.comb(n - 1, i) * kappas[n - i - 1] * mu[i]
-                            for i in range(n)))
-    return mu[1:]
 
 
 class TestNcx2Moments:
@@ -89,10 +79,8 @@ class TestDiffMoments:
 
     def test_symmetric_case_odd_moments_vanish(self):
         q = ChiSqDiffParams(2.0, 1.5, 1.5)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", CancellationWarning)
-            assert diff_moment(1, q) == pytest.approx(0.0, abs=1e-10)
-            assert diff_moment(3, q) == pytest.approx(0.0, abs=1e-8)
+        assert diff_moment(1, q) == pytest.approx(0.0, abs=1e-10)
+        assert diff_moment(3, q) == pytest.approx(0.0, abs=1e-8)
 
     def test_cf_derivative_cross_check(self):
         for q in [ChiSqDiffParams(3.0, 1.2, 0.4), ChiSqDiffParams(0.5, 4.0, 0.0)]:
@@ -137,8 +125,8 @@ class TestSumMoments:
         assert all(math.isfinite(v) for v in ms.raw)
         assert all(math.isfinite(v) for v in ms.cumulants)
 
-    def test_cancellation_warning(self):
-        # symmetric central case: odd raw moments cancel to roundoff
-        p = ProductNormalParams(0.0, 0.0, 1.0, 1.0, 0.0, 1)
-        with pytest.warns(CancellationWarning):
-            sum_moment(3, p)
+    def test_symmetric_odd_moment_exactly_zero(self):
+        # symmetric central case: the alternating sum of an odd raw moment
+        # cancels exactly (a floating-point sum leaves 1.3e-10 at order 7)
+        p = ProductNormalParams(0.0, 0.0, 1.0, 1.0, 0.0, 5)
+        assert sum_moment(7, p) == 0.0

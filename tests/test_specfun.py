@@ -10,12 +10,11 @@ import math
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import special as sc
 
 from ncx2diff.errors import DomainError
-from ncx2diff.specfun import (SeriesControl, _log_u_trap, bessel_i, bessel_k,
-                              kummer_m, log_bessel_i, log_bessel_k,
-                              log_kummer_m, log_tricomi_u, reg_inc_beta,
-                              tricomi_u)
+from ncx2diff.specfun import (SeriesControl, _log_u_trap, log_bessel_i,
+                              log_bessel_k, log_kummer_m, log_tricomi_u)
 
 # (a, b, x) -> U(a, b, x), frozen from the 40-digit oracle
 U_REFERENCE = [
@@ -35,7 +34,6 @@ U_REFERENCE = [
 class TestTricomiU:
     @pytest.mark.parametrize("a,b,x,ref", U_REFERENCE)
     def test_frozen_oracle_values(self, a, b, x, ref):
-        assert tricomi_u(a, b, x) == pytest.approx(ref, rel=1e-12)
         assert log_tricomi_u(a, b, x) == pytest.approx(math.log(ref), abs=1e-12)
 
     @pytest.mark.parametrize("a,b,x,ref", [row for row in U_REFERENCE if row[1] >= 1.0])
@@ -50,24 +48,17 @@ class TestTricomiU:
         assert log_tricomi_u(36.87, 9.01, 0.41) == pytest.approx(
             -81.04518463263347724305437, abs=1e-12)
 
-    def test_polynomial_case(self):
-        # U(-1, b, x) = x - b exactly
-        assert tricomi_u(-1.0, 0.5, 2.0) == pytest.approx(1.5, rel=1e-14)
-        assert tricomi_u(-2.0, 1.0, 3.0) == pytest.approx(3.0 ** 2 - 4 * 3.0 + 2.0, rel=1e-12)
-
-    def test_a_zero(self):
-        assert tricomi_u(0.0, 3.0, 1.7) == 1.0
-
     def test_reflection_consistency(self):
         # U(a,b,x) = x^{1-b} U(a-b+1, 2-b, x)
         a, b, x = 1.2, -2.5, 0.8
-        lhs = tricomi_u(a, b, x)
-        rhs = x ** (1 - b) * tricomi_u(a - b + 1, 2 - b, x)
-        assert lhs == pytest.approx(rhs, rel=1e-10)
+        lhs = log_tricomi_u(a, b, x)
+        rhs = (1 - b) * math.log(x) + log_tricomi_u(a - b + 1, 2 - b, x)
+        assert lhs == pytest.approx(rhs, abs=1e-10)
+        assert lhs == pytest.approx(math.log(sc.hyperu(a, b, x)), abs=1e-10)
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            tricomi_u(1.0, 2.0, 0.0)
+            log_tricomi_u(1.0, 2.0, 0.0)
         with pytest.raises(DomainError):
             log_tricomi_u(-1.0, 2.0, 1.0)
 
@@ -88,7 +79,7 @@ class TestBessel:
     def test_log_i_matches_direct(self):
         for nu, x in [(0.0, 1.0), (2.5, 10.0), (7.0, 0.3)]:
             assert log_bessel_i(nu, x) == pytest.approx(
-                math.log(bessel_i(nu, x)), abs=1e-12)
+                math.log(sc.iv(nu, x)), abs=1e-12)
 
     def test_log_i_large_argument(self):
         # direct evaluation overflows near x ~ 714; frozen mpmath reference
@@ -103,7 +94,7 @@ class TestBessel:
     def test_log_k_matches_direct(self):
         for nu, x in [(0.25, 2.0), (3.0, 0.5), (0.0, 15.0)]:
             assert log_bessel_k(nu, x) == pytest.approx(
-                math.log(bessel_k(nu, x)), abs=1e-12)
+                math.log(sc.kv(nu, x)), abs=1e-12)
 
     def test_log_k_symmetric_in_order(self):
         assert log_bessel_k(-2.5, 1.3) == log_bessel_k(2.5, 1.3)
@@ -118,7 +109,7 @@ class TestKummerM:
     def test_log_matches_direct(self):
         for a, b, x in [(1.5, 2.5, 3.0), (4.0, 0.5, 10.0), (0.3, 7.0, 0.1)]:
             assert log_kummer_m(a, b, x) == pytest.approx(
-                math.log(kummer_m(a, b, x)), abs=1e-12)
+                math.log(sc.hyp1f1(a, b, x)), abs=1e-12)
 
     def test_log_large_argument(self):
         # direct evaluation overflows; frozen mpmath reference
@@ -127,26 +118,9 @@ class TestKummerM:
 
     def test_nonpositive_integer_b_rejected(self):
         with pytest.raises(DomainError):
-            kummer_m(1.0, 0.0, 1.0)
+            log_kummer_m(1.0, 0.0, 1.0)
         with pytest.raises(DomainError):
-            kummer_m(1.0, -3.0, 1.0)
-
-
-class TestRegIncBeta:
-    def test_symmetry_point(self):
-        assert reg_inc_beta(0.5, 2.0, 2.0) == pytest.approx(0.5, abs=1e-14)
-
-    def test_arcsine_closed_form(self):
-        # I_x(1/2, 1/2) = (2/pi) arcsin(sqrt(x))
-        for x in [0.1, 0.5, 0.875]:
-            assert reg_inc_beta(x, 0.5, 0.5) == pytest.approx(
-                2 / math.pi * math.asin(math.sqrt(x)), abs=1e-13)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            reg_inc_beta(1.5, 1.0, 1.0)
-        with pytest.raises(DomainError):
-            reg_inc_beta(0.5, 0.0, 1.0)
+            log_kummer_m(1.0, -3.0, 1.0)
 
 
 class TestSeriesControl:
