@@ -87,6 +87,15 @@ if __name__ == "__main__":
     show("U(1.86125, 3.7225, 1e-6)", hyperu(mpf("1.86125"), mpf("3.7225"), mpf("1e-6")))
     show("U(2.5, 4, 1e-6)", hyperu(mpf("2.5"), 4, mpf("1e-6")))
     show("ln U(36.87, 9.01, 0.41)", log(hyperu(mpf(36.87), mpf(9.01), mpf(0.41))), 25)
+    print("# ln U(r/2 + k, r + k, x) on the density's diagonal, k0 + 100..300 "
+          "past k0 = max(1, ceil x); mpmath's hyperu needs the extra digits at x = 150")
+    with mp.workdps(160):
+        for r in (0.7, 7.3):  # the doubles, as the tests pass them
+            for x in (0.5, 10, 40, 150):
+                k0 = max(1, int(mp.ceil(x)))
+                for k in (k0 + 100, k0 + 200, k0 + 300):
+                    show(f"ln U({r}/2 + {k}, {r} + {k}, {x})",
+                         log(hyperu(mpf(r) / 2 + k, mpf(r) + k, mpf(x))), 25)
     print("# negativity probabilities (double series route)")
     show("P(T<=0; r=3, l1=1.2, l2=0.4)", prob_diff_nonpositive(3, "1.2", "0.4"))
     show("P(T<=0; r=1, l1=2,   l2=0)", prob_diff_nonpositive(1, 2, 0))

@@ -326,7 +326,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NonConvergenceError, InversionAccuracyError) as exc:
-        print(f"error: non-convergence: {exc}", file=sys.stderr)
+        hint = getattr(exc, "max_terms", None)
+        hint = f"; --max-terms {hint} suffices" if hint else ""
+        print(f"error: non-convergence: {exc}{hint}", file=sys.stderr)
         return 3
     return 0
 

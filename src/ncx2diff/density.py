@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from typing import Callable
 
 import numpy as np
@@ -22,6 +23,7 @@ from .params import ChiSqDiffParams, ChiSqDiffRepr, ProductNormalParams, to_chis
 from .specfun import (
     DEFAULT_CONTROL,
     SeriesControl,
+    _poisson_cut,
     log_bessel_i,
     log_tricomi_u,
 )
@@ -37,6 +39,8 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
+# smallest normal double: the relative certificate holds down to this p
+_TINY = sys.float_info.min
 
 
 # ---------------------------------------------------------------------------
@@ -73,93 +77,186 @@ def ncx2_pdf(x: float, r: float, lam: float) -> float:
 # difference-density series
 
 
-def _diff_pdf_nonneg(x: float, r: float, lam1: float, lam2: float,
-                     ctrl: SeriesControl) -> float:
-    """Double-series density evaluated at x >= 0.
+def _window_bounds(x: float, r: float, lam1: float, lam2: float,
+                   floor: float) -> np.ndarray:
+    """E[K] bounds the cells of the double series past outer index K, for
+    K = 0, 1, ...: the series stops at the first K whose E[K] meets its
+    target.
 
-    Outer index k sums the terms j = 0..k, each a Poisson-type weight times
-    x^{r+k-1} U(r/2 + j, r + k, x). Column j of that U table is seeded by
-    log_tricomi_u at b = r + j, takes its value at b = r + j + 1 from that
-    seed and the next column's seed by DLMF 13.3.10, then is stepped in b by
-    the recurrence DLMF 13.3.8 in ratio form; U is the dominant solution in b,
-    so the forward recurrence is stable. That is one U call per outer index
-    (two at k = 1 when lam2 = 0, where the row has no diagonal).
-
-    All terms are positive; the outer index is stopped once three consecutive
-    outer contributions fall below abs_tol times the running sum (guards
-    against odd/even oscillation of the Poisson-type weights).
+    Cell (k, j) is Poisson((lam1 + lam2)/2) weight k times a binomial share
+    times the density at x of chi^2_{r+2 j1} - chi^2_{r+2 j2}, j1 = k - j and
+    j2 = j. That density is at most S(j1) = sup over y >= x of the
+    chi^2_{r+2 j1} density; for j1 = 0 and r <= 2 it is also at most
+    int chi^2_r chi^2_{r+2 j2} <= Gamma(r) / (2^{r+1} Gamma(r/2) Gamma(r/2+1)),
+    since j2 >= 1 past k = 0. So row k sums to at most its Poisson weight
+    times the largest S(j1) in it, never more than 1/2, and the rows past
+    the cap (Poisson tail at most floor) add at most floor / 2.
     """
-    at_zero = x == 0.0
-    if at_zero and r <= 2.0:
-        raise SingularPointError(x, "difference density singular/non-series at 0 for r <= 2")
-    log_pref = -r * math.log(2.0) - (abs(x) + lam1 + lam2) / 2.0
-    # log(lam) - log(2) rather than log(lam / 2): lam / 2 can underflow to 0
-    # for subnormal lam even though lam > 0. A zero lam keeps only the terms
-    # in which its power is 0, so its log is never used.
+    mu = (lam1 + lam2) / 2.0
+    cap = _poisson_cut(mu, floor, math.inf)
+    k = np.arange(cap + 1)
+    nu = r + 2.0 * k
+    y = np.maximum(x, nu - 2.0)  # where chi^2_nu peaks on [x, inf)
+    sup = np.exp(sc.xlogy(nu / 2.0 - 1.0, y) - y / 2.0 - nu / 2.0 * _LN2
+                 - sc.gammaln(nu / 2.0))
+    if r <= 2.0:
+        sup[0] = min(sup[0], math.exp(sc.gammaln(r) - (r + 1.0) * _LN2
+                                      - sc.gammaln(r / 2.0) - sc.gammaln(r / 2.0 + 1.0)))
+    if lam1 == 0.0:  # every cell has j1 = 0
+        row = np.full(cap + 1, sup[0])
+    elif lam2 == 0.0:  # every cell has j1 = k
+        row = sup
+    else:
+        row = np.maximum.accumulate(sup)
+    rows = np.exp(sc.xlogy(k, mu) - sc.gammaln(k + 1.0) - mu) * row
+    past = np.cumsum(rows[::-1])[::-1]
+    return np.append(past[1:], 0.0) + 0.5 * sc.pdtrc(cap, mu)
+
+
+def _log_diagonal(x: float, r: float, K: int) -> np.ndarray:
+    """ln V_k, V_k = x^{r+k-1} U(r/2 + k, r + k, x), for k = 0..K.
+
+    By Kummer's transformation V_k = U(1 - r/2, 2 - r - k, x): one
+    b-recurrence at fixed a, V_{k+1} = [x V_{k-1} + (r + k - 1 - x) V_k] /
+    (r/2 + k) (DLMF 13.3.8). It runs downward in b, which is stable once
+    k >= x; below that it loses digits (0.14 in ln U by k = 80 from k = 0 at
+    x = 40), so the seeds k <= max(1, ceil(x)) come from one batched U call.
+    """
+    h = r / 2.0
+    lx = math.log(x)
+    k0 = min(K, max(1, math.ceil(x)))
+    ks = np.arange(k0 + 1)
+    lv = (r + ks - 1.0) * lx + log_tricomi_u(h + ks, r + ks, x)
+    if K == k0:
+        return lv
+    out = np.empty(K + 1)
+    out[:k0 + 1] = lv
+    s = math.exp(lv[-1] - lv[-2])  # V_k / V_{k-1}
+    for k in range(k0, K):
+        s = (x / s + r + k - 1.0 - x) / (h + k)
+        out[k + 1] = out[k] + math.log(s)
+    return out
+
+
+def _window_sum(x: float, r: float, lam1: float, lam2: float, K: int) -> float:
+    """The double series over the cells k <= K, at x >= 0.
+
+    Cell (k, j) is a weight times x^{r+k-1} U(r/2 + j, r + k, x); it is held
+    at (d, j), d = k - j, where the weight (lam1/4)^d (lam2/4)^j /
+    (d! j! Gamma(r/2 + d)) splits into a factor of d and a factor of j. With
+    lam1 = 0 only the diagonal d = 0 is present, with lam2 = 0 only column
+    j = 0. Column j starts from the diagonal V_j, takes its value at
+    b = r + j + 1 from V_j and V_{j+1} by DLMF 13.3.10,
+    U(a, b) = a U(a+1, b) + U(a, b-1), and then steps down by DLMF 13.3.8 in
+    ratio form; U is the dominant solution in b, so that forward recurrence
+    is stable. All columns take their d-th step together.
+    """
+    h = r / 2.0
+    D = K if lam1 > 0.0 else 0
+    J = K if lam2 > 0.0 else 0
+    d = np.arange(D + 1.0)
+    j = np.arange(J + 1.0)
+    if x == 0.0:
+        # x -> 0 limit of x^{r+k-1} U(r/2+j, r+k, x); valid since r > 2
+        lu = sc.gammaln(r - 1.0 + d[:, None] + j) - sc.gammaln(h + j)
+    else:
+        lv = _log_diagonal(x, r, J if D == 0 else min(K, J + 1))
+        lu = np.zeros((D + 1, J + 1))
+        if D:
+            # rho[d - 1, j] = x U(a, b) / U(a, b - 1) at a = r/2 + j,
+            # b = r + j + d, for the columns j < K that step at all; scaled by
+            # x so that it stays finite for subnormal x
+            lx = math.log(x)
+            nc = min(J + 1, K)
+            rho = np.ones((D, J + 1))
+            # 13.3.10 has all terms positive; logaddexp because its exponent
+            # grows like -ln x, past exp's range for subnormal x
+            rho[0, :nc] = np.exp(np.logaddexp(np.log(h + j[:nc]) + lv[1:nc + 1] - lx,
+                                              lv[:nc]) - lv[:nc] + lx)
+            base = r - 1.0 + x + j[:nc]
+            for step in range(1, D):
+                c = min(nc, K - step)
+                # z U(a, b+1) = (b - 1 + z) U(a, b) - (b - a - 1) U(a, b-1)
+                rho[step, :c] = (base[:c] + step) - (h + step - 1.0) * x / rho[step - 1, :c]
+            lu[1:] = np.cumsum(np.log(rho), axis=0)
+        lu += lv[:J + 1]
+    # note the 2^{-k}: the correct Poisson-mixture weights are
+    # (lam1/4)^{k-j} (lam2/4)^j, cross-checked against the equal-lambda
+    # Bessel series, CF inversion and Monte Carlo
     llam1 = math.log(lam1) - _LN2 if lam1 > 0 else 0.0
     llam2 = math.log(lam2) - _LN2 if lam2 > 0 else 0.0
-    h = r / 2.0
-    # ln U(h + j, r + k, x) and x U(h + j, r + k, x) / U(h + j, r + k - 1, x)
-    # by column j (the ratio is scaled by x so that it stays finite for
-    # subnormal x); with lam1 = 0 only the last entry of lu is current
-    lu = np.empty(0)
-    rho = np.empty(0)
-    total = 0.0
-    small_streak = 0
-    terms_used = 0
-    k = 0
-    while True:
-        # lam1 = 0 keeps only j = k, lam2 = 0 only j = 0
-        first = k if lam1 == 0.0 else 0
-        last = 0 if lam2 == 0.0 else k
-        j = np.arange(first, last + 1)
-        if at_zero:
-            # x -> 0 limit of x^{r+k-1} U(r/2+j, r+k, x); valid since r > 2
-            lu_row = sc.gammaln(r + k - 1.0) - sc.gammaln(h + j)
+    cd = -sc.gammaln(d + 1.0) - sc.gammaln(h + d) + d * (llam1 - _LN2)
+    cj = -sc.gammaln(j + 1.0) + j * (llam2 - _LN2) - r * _LN2 - (x + lam1 + lam2) / 2.0
+    terms = np.exp(lu + cd[:, None] + cj)
+    terms[d[:, None] + j > K] = 0.0  # the window is the cells d + j <= K
+    return float(terms.sum())
+
+
+def _saddlepoint_pdf(x: float, r: float, lam1: float, lam2: float) -> float:
+    """Saddlepoint approximation to the density of T at x: only the size of
+    the series window rests on it, never the value."""
+    def cgf(t):
+        a, b = 1.0 - 2.0 * t, 1.0 + 2.0 * t
+        k0 = -0.5 * r * (math.log(a) + math.log(b)) + lam1 * t / a - lam2 * t / b
+        k1 = r / a - r / b + lam1 / (a * a) - lam2 / (b * b)
+        k2 = 2.0 * r * (1.0 / (a * a) + 1.0 / (b * b)) \
+            + 4.0 * (lam1 / a ** 3 + lam2 / b ** 3)
+        return k0, k1, k2
+
+    # K'(t) = x on -1/2 < t < 1/2 (K' increases from -inf to inf): Newton
+    # steps, bisection where a step leaves the bracket
+    lo, hi, t = -0.5, 0.5, 0.0
+    for _ in range(100):
+        k0, k1, k2 = cgf(t)
+        if k1 > x:
+            hi = t
         else:
-            lx = math.log(x)
-            old = j[j <= k - 2]
-            if old.size:
-                # z U(a, b+1) = (b - 1 + z) U(a, b) - (b - a - 1) U(a, b-1)
-                b = r + k - 1.0
-                rho[old] = (b - 1.0 + x) - (b - h - old - 1.0) * x / rho[old]
-                lu[old] += np.log(rho[old]) - lx
-            has_diag = first <= k <= last
-            if has_diag:
-                diag = log_tricomi_u(h + k, r + k, x)
-            if first <= k - 1 <= last:
-                if has_diag:
-                    # U(a, b) = a U(a+1, b) + U(a, b-1) (DLMF 13.3.10), all
-                    # terms positive; logaddexp because the exponent grows
-                    # like -ln x, past exp's range for subnormal x
-                    step = float(np.logaddexp(
-                        0.0, math.log(h + k - 1.0) + diag - lu[k - 1]))
-                else:
-                    step = log_tricomi_u(h + k - 1.0, r + k, x) - lu[k - 1]
-                rho[k - 1] = math.exp(step + lx)
-                lu[k - 1] += step
-            if has_diag:
-                lu = np.append(lu, diag)
-                rho = np.append(rho, math.nan)
-            lu_row = (r + k - 1.0) * lx + lu[first:last + 1]
-        # note the 2^{-k}: the correct Poisson-mixture weights are
-        # (lam1/4)^{k-j} (lam2/4)^j, cross-checked against the equal-lambda
-        # Bessel series, CF inversion and Monte Carlo
-        lcoef = -sc.gammaln(j + 1.0) - sc.gammaln(k - j + 1.0) - sc.gammaln(h + k - j) \
-            - k * _LN2 + (k - j) * llam1 + j * llam2
-        outer = float(np.exp(log_pref + lcoef + lu_row).sum())
-        terms_used += j.size
-        total += outer
-        if terms_used > ctrl.max_terms:
+            lo = t
+        step = t - (k1 - x) / k2
+        step = step if lo < step < hi else 0.5 * (lo + hi)
+        if abs(step - t) <= 1e-12:
+            break
+        t = step
+    k0, k1, k2 = cgf(t)
+    return math.exp(k0 - t * x) / math.sqrt(2.0 * math.pi * k2)
+
+
+def _diff_pdf_nonneg(x: float, r: float, lam1: float, lam2: float,
+                     ctrl: SeriesControl) -> float:
+    """Double-series density at x >= 0 over the certified window k <= K
+    (see ncx2diff_pdf and _window_bounds).
+
+    K is sized up front for the saddlepoint approximation of p. Where the sum
+    comes out smaller than that, the window is sized again for the sum, a
+    lower bound on p since all terms are positive. A window of more than
+    max_terms cells is cut to the largest that fits; if that one is not
+    certified, NonConvergenceError names the max_terms that is.
+    """
+    if x == 0.0 and r <= 2.0:
+        raise SingularPointError(x, "difference density singular/non-series at 0 for r <= 2")
+    tol = ctrl.abs_tol
+    bound = _window_bounds(x, r, lam1, lam2, tol * _TINY)
+
+    def window(p):
+        return int(np.argmax(bound <= tol * min(1.0, max(p, _TINY))))
+
+    # the window k <= K has K + 1 cells with lam1 = 0 or lam2 = 0 (one
+    # diagonal or one column) and (K + 1)(K + 2)/2 else; the largest K whose
+    # cells fit the budget
+    one_sided = lam1 == 0.0 or lam2 == 0.0
+    m = ctrl.max_terms
+    fits = m - 1 if one_sided else (math.isqrt(8 * m + 1) - 3) // 2
+    K = min(window(_saddlepoint_pdf(x, r, lam1, lam2)), fits)
+    total = _window_sum(x, r, lam1, lam2, K)
+    need = window(total)
+    if need > K:
+        if need > fits:
+            cells = need + 1 if one_sided else (need + 1) * (need + 2) // 2
             raise NonConvergenceError(
-                f"difference-density series: {ctrl.max_terms} terms exhausted")
-        if outer <= ctrl.abs_tol * max(total, ctrl.abs_tol):
-            small_streak += 1
-            if small_streak >= 3:
-                return total
-        else:
-            small_streak = 0
-        k += 1
+                f"difference-density series at x={x}: the certified window has "
+                f"{cells} cells > max_terms={m}", max_terms=cells)
+        total = _window_sum(x, r, lam1, lam2, need)
+    return total
 
 
 def ncx2diff_pdf(x: float, q: ChiSqDiffParams,
@@ -168,6 +265,14 @@ def ncx2diff_pdf(x: float, q: ChiSqDiffParams,
 
     Negative abscissae are handled through the symmetry
     p(x; r, lam1, lam2) = p(-x; r, lam2, lam1).
+
+    The double series is summed over the outer indices k <= K, a window fixed
+    before summing (sized by a saddlepoint estimate of p, widened once if the
+    sum comes out smaller). It is certified: the omitted cells add at most
+    ctrl.abs_tol * min(1, max(p, 2.2e-308)), by a rigorous bound on every
+    cell past K. A window of more than ctrl.max_terms cells raises
+    NonConvergenceError; its max_terms attribute is a budget that suffices.
+    Raises SingularPointError at x = 0 for r <= 2.
     """
     if x >= 0:
         return _diff_pdf_nonneg(x, q.r, q.lambda1, q.lambda2, ctrl)

@@ -10,7 +10,14 @@ class DomainError(Ncx2DiffError, ValueError):
 
 
 class NonConvergenceError(Ncx2DiffError):
-    """A series or iteration hit its term budget before converging."""
+    """A series or iteration hit its term budget before converging.
+
+    `max_terms` is the budget that would suffice, when the evaluator knows it.
+    """
+
+    def __init__(self, message, max_terms=None):
+        super().__init__(message)
+        self.max_terms = max_terms
 
 
 class SingularPointError(Ncx2DiffError):

@@ -16,9 +16,9 @@ from itertools import chain
 import numpy as np
 from scipy import special as sc
 
-from .errors import DomainError, NonConvergenceError
+from .errors import DomainError
 from .params import ChiSqDiffParams, ProductNormalParams, to_chisq_diff
-from .specfun import DEFAULT_CONTROL, SeriesControl
+from .specfun import DEFAULT_CONTROL, SeriesControl, _poisson_cut
 
 __all__ = [
     "NegativityResult",
@@ -49,22 +49,6 @@ class NegativityResult:
             "terms_used": self.terms_used,
             "tail_bound": self.tail_bound,
         }
-
-
-def _poisson_cut(mu: float, tol: float, max_terms: int) -> int:
-    """Smallest J with P(Poisson(mu) > J) <= tol: the (1 - tol) quantile, by
-    the inverse of the Poisson CDF and one step down, as scipy.stats.poisson
-    computes it."""
-    if mu == 0.0:
-        return 0
-    q = 1.0 - tol
-    J = math.ceil(sc.pdtrik(q, mu))
-    if J > 0 and sc.pdtr(J - 1, mu) >= q:
-        J -= 1
-    if J + 1 > max_terms:
-        raise NonConvergenceError(
-            f"Poisson truncation needs {J + 1} terms > max_terms={max_terms}")
-    return J
 
 
 def _poisson_pmf(J: int, mu: float) -> np.ndarray:

@@ -78,12 +78,15 @@ def _equal_lambda_pdf(x: float, r: float, lam: float) -> float:
             |x|^nu K_nu(|x|/2),  nu = (r - 1)/2 + k,
 
     an oracle independent of the Tricomi-U double series of ncx2diff_pdf. At
-    lam = 0 it is the symmetric variance-gamma density. The series stops once
-    three consecutive terms fall below 1e-12 of the running sum."""
+    lam = 0 it is the symmetric variance-gamma density. Past the peak of its
+    terms, the series stops once three consecutive terms fall below 1e-12 of
+    the running sum; before it, the running sum of a large lam is still far
+    below the density."""
     ax = abs(x)
     log_pref = -r * math.log(2.0) - 0.5 * math.log(math.pi) - lam
     total = 0.0
     small_streak = 0
+    prev = -math.inf
     for k in range(DEFAULT_CONTROL.max_terms):
         nu = (r - 1.0) / 2.0 + k
         lt = log_pref - sc.gammaln(k + 1.0) - sc.gammaln(r / 2.0 + k) \
@@ -94,7 +97,8 @@ def _equal_lambda_pdf(x: float, r: float, lam: float) -> float:
         total += term
         if lam == 0.0:
             return total
-        if term <= DEFAULT_CONTROL.abs_tol * max(total, DEFAULT_CONTROL.abs_tol):
+        past_peak, prev = lt < prev, lt
+        if past_peak and term <= DEFAULT_CONTROL.abs_tol * max(total, DEFAULT_CONTROL.abs_tol):
             small_streak += 1
             if small_streak >= 3:
                 return total

@@ -47,6 +47,33 @@ class SeriesControl:
 DEFAULT_CONTROL = SeriesControl()
 
 
+def _poisson_cut(mu: float, tol: float, max_terms: int) -> int:
+    """Smallest J with P(Poisson(mu) > J) <= tol: the (1 - tol) quantile, by
+    the inverse of the Poisson CDF and one step down, as scipy.stats.poisson
+    computes it. Below tol ~ 1e-16, where 1 - tol rounds to 1, the search
+    runs on the upper tail pdtrc itself."""
+    if mu == 0.0:
+        return 0
+    q = 1.0 - tol
+    if q < 1.0:
+        J = math.ceil(sc.pdtrik(q, mu))
+        if J > 0 and sc.pdtr(J - 1, mu) >= q:
+            J -= 1
+    else:
+        J = math.ceil(sc.pdtrik(1.0 - 2.0 ** -52, mu))
+        while True:
+            ks = np.arange(J, 2 * J + 64)
+            met = sc.pdtrc(ks, mu) <= tol
+            if met.any():
+                J = int(ks[np.argmax(met)])
+                break
+            J = int(ks[-1]) + 1
+    if J + 1 > max_terms:
+        raise NonConvergenceError(
+            f"Poisson truncation needs {J + 1} terms > max_terms={max_terms}")
+    return J
+
+
 def log_bessel_i(nu: float, x: float) -> float:
     """ln I_nu(x), stable for large x and for large order at small argument."""
     if nu < 0:
@@ -60,14 +87,15 @@ def log_bessel_i(nu: float, x: float) -> float:
         return math.log(scaled) + x
     # ive underflows when nu is large relative to x: use the ascending series
     # I_nu(x) = (x/2)^nu sum_m (x^2/4)^m / (m! Gamma(nu+m+1)), all terms positive.
-    q = 0.25 * x * x
+    # ln x - ln 2 rather than ln(x/2), which is ln 0 at x = 5e-324
+    half = math.log(x) - math.log(2.0)
     logs = []
-    lt = nu * math.log(0.5 * x) - sc.gammaln(nu + 1.0)
+    lt = nu * half - sc.gammaln(nu + 1.0)
     m = 0
     while True:
         logs.append(lt)
         m += 1
-        lt += math.log(q) - math.log(m) - math.log(nu + m)
+        lt += 2.0 * half - math.log(m) - math.log(nu + m)
         if lt < logs[0] - 40.0 or m > 500:
             break
     return float(sc.logsumexp(logs))
@@ -92,7 +120,7 @@ def log_bessel_k(nu: float, x: float) -> float:
         term *= -q / ((m + 1.0) * (nu - m - 1.0))
         total += term
         m += 1
-    return (-math.log(2.0) - nu * math.log(0.5 * x) + sc.gammaln(nu)
+    return (-math.log(2.0) - nu * (math.log(x) - math.log(2.0)) + sc.gammaln(nu)
             + math.log(total))
 
 
@@ -119,52 +147,69 @@ def log_kummer_m(a: float, b: float, x: float, ctrl: SeriesControl = DEFAULT_CON
     raise NonConvergenceError(f"log_kummer_m: {ctrl.max_terms} terms exhausted at (a={a}, b={b}, x={x})")
 
 
-def _log_u_trap(a: float, b: float, x: float) -> float:
-    # U Gamma(a) x^a = int e^{phi(t)} dt with s = e^t and
-    # phi(t) = a t - e^t + c log1p(e^t / x); valid for all a > 0, x > 0.
-    # The integrand is analytic in |Im t| < pi/2 and decays at both ends, so
-    # the trapezoidal rule on the whole line converges geometrically in 1/h.
-    # log1p(e^t / x) is taken as logaddexp(0, t - ln x), which stays finite
-    # where e^t / x overflows (x subnormal)
+def _log_u_trap(a, b, x: float):
+    """ln U(a, b, x) by the trapezoidal rule, for a > 0, x > 0; a and b are
+    scalars or equal-length 1-d arrays, all at the one x.
+
+    U Gamma(a) x^a = int e^{phi(t)} dt with s = e^t and
+    phi(t) = a t - e^t + c log1p(e^t / x), c = b - a - 1. The integrand is
+    analytic in |Im t| < pi/2 and decays at both ends, so the trapezoidal rule
+    on the whole line converges geometrically in 1/h. log1p(e^t / x) is taken
+    as logaddexp(0, t - ln x), which stays finite where e^t / x overflows
+    (x subnormal). A batch shares one grid: the smallest step and the union of
+    the ranges that each element needs, which only adds accuracy.
+    """
+    scalar = np.ndim(a) == 0 and np.ndim(b) == 0
+    a, b = np.broadcast_arrays(np.atleast_1d(np.asarray(a, dtype=float)),
+                               np.atleast_1d(np.asarray(b, dtype=float)))
     c = b - a - 1.0
-    big = a + max(c, 0.0)
+    big = a + np.maximum(c, 0.0)
     lx = math.log(x)
 
     def phi(t):
-        return a * t - np.exp(t) + c * np.logaddexp(0.0, t - lx)
+        return a[:, None] * t - np.exp(t) + c[:, None] * np.logaddexp(0.0, t - lx)
 
     # phi' <= big - e^t, so phi falls by more than 45 over [ln big, t_hi]
-    t_hi = math.log(big) + math.log(2.0 + 45.0 / big) + 1.0
+    t_hi = float(np.max(np.log(big) + np.log(2.0 + 45.0 / big))) + 1.0
     # below t1, psi = phi(t) - a t obeys |psi| <= e^t (1 + |c|/x) <= 0.1, so
     # the grid points below t_lo, summed as the geometric series of e^{a t},
     # are off by less than e^{phi(ln a) - 40}: the slow e^{a t} tail of a
     # small a costs no grid points
-    ref = float(phi(math.log(a)))
-    t1 = min(0.0, lx - math.log1p(abs(c))) - 3.0
-    t_lo = min(t1, (ref - 40.0 - math.log(2.2 * (x + abs(c))) + lx) / (a + 1.0))
+    ref = phi(np.log(a)[:, None])[:, 0]
+    t1 = np.minimum(0.0, lx - np.log1p(np.abs(c))) - 3.0
+    t_lo = float(np.min(np.minimum(
+        t1, (ref - 40.0 - np.log(2.2 * (x + np.abs(c))) + lx) / (a + 1.0))))
     # the step resolves the peak (curvature at most a + |c| + 1) and stays
     # small against the strip width
-    h = min(0.15, 0.5 / math.sqrt(a + abs(c) + 1.0))
+    h = min(0.15, float(np.min(0.5 / np.sqrt(a + np.abs(c) + 1.0))))
     f = phi(t_lo + h * np.arange(2 * math.ceil((t_hi - t_lo) / (2.0 * h)) + 1))
-    m = max(float(f.max()), ref)
-    w = np.exp(f - m)
+    m = np.maximum(f.max(axis=1), ref)
+    w = np.exp(f - m[:, None])
 
     def tail(step):  # sum of e^{a t - m} over t = t_lo - step, t_lo - 2 step, ...
-        return math.exp(a * (t_lo - step) - m) / -math.expm1(-a * step)
+        return np.exp(a * (t_lo - step) - m) / -np.expm1(-a * step)
 
-    fine = float(w.sum()) + tail(h)
-    coarse = 2.0 * (float(w[::2].sum()) + tail(2.0 * h))
+    fine = w.sum(axis=1) + tail(h)
+    coarse = 2.0 * (w[:, ::2].sum(axis=1) + tail(2.0 * h))
     # the error falls at least geometrically in 1/h, so the step-h error is
     # at most the square of the step-2h one: this keeps it below 1e-12
-    if not abs(coarse / fine - 1.0) <= 1e-6:
+    gap = np.abs(coarse / fine - 1.0)
+    bad = ~(gap <= 1e-6)
+    if bad.any():
+        i = int(np.argmax(bad))
         raise NonConvergenceError(
-            f"U trapezoid unresolved at (a={a}, b={b}, x={x}): "
-            f"step-h and step-2h sums differ by {abs(coarse / fine - 1.0):.1e}")
-    return math.log(h * fine) + m - a * lx - sc.gammaln(a)
+            f"U trapezoid unresolved at (a={a[i]}, b={b[i]}, x={x}): "
+            f"step-h and step-2h sums differ by {gap[i]:.1e}")
+    out = np.log(h * fine) + m - a * lx - sc.gammaln(a)
+    return float(out[0]) if scalar else out
 
 
-def _log_u_core(a: float, b: float, x: float) -> float:
-    """ln U(a, b, x) for a > 0, b >= 1, x > 0 (the post-reflection region).
+def log_tricomi_u(a, b, x: float):
+    """ln U(a, b, x) for x > 0 and a > 0 after the b < 1 reflection
+    U(a, b, x) = x^{1-b} U(a - b + 1, 2 - b, x), where U > 0.
+
+    a and b may be equal-length 1-d arrays (one x for all); the result then is
+    an array, and one trapezoid grid serves every entry off hyperu.
 
     Two routes: scipy's hyperu inside the box where it was measured to be
     accurate, and everywhere else a trapezoidal quadrature of the integral
@@ -177,21 +222,26 @@ def _log_u_core(a: float, b: float, x: float) -> float:
     U(25.21, 30.42, 7.0), 1e-8 for a > b + 1 at small x, 4.5e-7 at large x,
     and about 2e-15/|b - n| by cancellation for b near an integer n.
     """
-    c = b - a - 1.0
-    if b < 4.0 and abs(b - round(b)) >= 0.1 and c >= -2.0 and x < max(1.0, 2.0 * c):
-        h = sc.hyperu(a, b, x)
-        if math.isfinite(h) and h > 0:
-            return math.log(h)
-    return _log_u_trap(a, b, x)
-
-
-def log_tricomi_u(a: float, b: float, x: float) -> float:
-    """ln U(a, b, x); requires a parameter region where U > 0 (first parameter
-    positive after the b < 1 reflection)."""
     if x <= 0:
         raise DomainError(f"log_tricomi_u requires x > 0, got {x}")
-    if b < 1.0:
-        return (1.0 - b) * math.log(x) + log_tricomi_u(a - b + 1.0, 2.0 - b, x)
-    if a <= 0:
+    scalar = np.ndim(a) == 0 and np.ndim(b) == 0
+    a, b = np.broadcast_arrays(np.atleast_1d(np.asarray(a, dtype=float)),
+                               np.atleast_1d(np.asarray(b, dtype=float)))
+    lx = math.log(x)
+    refl = b < 1.0
+    shift = np.where(refl, (1.0 - b) * lx, 0.0)
+    a, b = np.where(refl, a - b + 1.0, a), np.where(refl, 2.0 - b, b)
+    if not (a > 0).all():
         raise DomainError("log_tricomi_u requires a > 0 (after reflection)")
-    return _log_u_core(a, b, x)
+    c = b - a - 1.0
+    out = np.full(a.shape, np.nan)
+    box = (b < 4.0) & (np.abs(b - np.round(b)) >= 0.1) & (c >= -2.0) \
+        & (x < np.maximum(1.0, 2.0 * c))
+    if box.any():
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out[box] = np.log(sc.hyperu(a[box], b[box], x))
+    trap = ~np.isfinite(out)
+    if trap.any():
+        out[trap] = _log_u_trap(a[trap], b[trap], x)
+    out += shift
+    return float(out[0]) if scalar else out

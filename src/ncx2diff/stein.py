@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import math
 import warnings
+from functools import reduce
 
 import numpy as np
 from numpy.polynomial import Polynomial
-from numpy.polynomial.polynomial import polyval
+from numpy.polynomial.polynomial import polyadd, polymul, polyval
 from scipy.integrate import quad
 
 from .density import ncx2diff_pdf
@@ -79,11 +80,28 @@ class TestFunction:
         """j-th derivative at x (scalar or array), j in 0..order."""
         if not 0 <= j <= self.order:
             raise DomainError(f"derivative order {j} outside 0..{self.order}")
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape)
-        for p, q in zip(self._derivs[j], self._exponents):
-            out += (polyval(x, p) * np.exp(polyval(x, q))).real
-        return out if out.ndim else float(out)
+        return _evaluate(zip(self._derivs[j], self._exponents), x)
+
+    def fold(self, coeffs) -> tuple:
+        """The (R_i, q_i) terms of sum_j c_j(x) f^(j)(x), for polynomials c_j
+        given by their coefficients in increasing powers, j = 0..len(coeffs) - 1.
+
+        Each term's derivative factors fold into one polynomial
+        R_i = sum_j c_j P_ij, so an operator costs one exp per term."""
+        if len(coeffs) - 1 > self.order:
+            raise DomainError(f"derivative order {len(coeffs) - 1} outside 0..{self.order}")
+        return tuple((reduce(polyadd, [polymul(c, self._derivs[j][i])
+                                       for j, c in enumerate(coeffs)]), q)
+                     for i, q in enumerate(self._exponents))
+
+
+def _evaluate(terms, x):
+    """Re sum_i R_i(x) exp(q_i(x)) at x (scalar or array) over (R_i, q_i)."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros(x.shape)
+    for p, q in terms:
+        out += (polyval(x, p) * np.exp(polyval(x, q))).real
+    return out if out.ndim else float(out)
 
 
 def builtin_test_functions() -> tuple:
@@ -102,12 +120,7 @@ def apply_a1(f: TestFunction, x, q: ChiSqDiffParams):
     16x f'''' + 16r f''' - (8x + 4(l1-l2)) f'' - 4(l1+l2+r) f' + (x - (l1-l2)) f."""
     if f.order < 4:
         raise DomainError("apply_a1 needs derivatives through order 4")
-    d = q.lambda1 - q.lambda2
-    return (16.0 * np.asarray(x) * f.evaluate(4, x)
-            + 16.0 * q.r * f.evaluate(3, x)
-            - (8.0 * np.asarray(x) + 4.0 * d) * f.evaluate(2, x)
-            - 4.0 * (q.lambda1 + q.lambda2 + q.r) * f.evaluate(1, x)
-            + (np.asarray(x) - d) * f.evaluate(0, x))
+    return _evaluate(f.fold(_coeffs("a1", q.r, q.lambda1, q.lambda2)), x)
 
 
 def apply_a2(f: TestFunction, x, r: float, lambda1: float):
@@ -115,33 +128,37 @@ def apply_a2(f: TestFunction, x, r: float, lambda1: float):
     8x f''' + (8r - 4x) f'' - (2x + 4r + 2*l1) f' + (x - l1) f."""
     if f.order < 3:
         raise DomainError("apply_a2 needs derivatives through order 3")
-    x = np.asarray(x)
-    return (8.0 * x * f.evaluate(3, x)
-            + (8.0 * r - 4.0 * x) * f.evaluate(2, x)
-            - (2.0 * x + 4.0 * r + 2.0 * lambda1) * f.evaluate(1, x)
-            + (x - lambda1) * f.evaluate(0, x))
+    return _evaluate(f.fold(_coeffs("a2", r, lambda1, 0.0)), x)
 
 
 def apply_a3(f: TestFunction, x, r: float):
     """Second-order operator for the central case: 4x f'' + 4r f' - x f."""
     if f.order < 2:
         raise DomainError("apply_a3 needs derivatives through order 2")
-    x = np.asarray(x)
-    return 4.0 * x * f.evaluate(2, x) + 4.0 * r * f.evaluate(1, x) - x * f.evaluate(0, x)
+    return _evaluate(f.fold(_coeffs("a3", r, 0.0, 0.0)), x)
 
 
-def _operator_fn(operator: str, q: ChiSqDiffParams):
+def _coeffs(operator: str, r: float, lambda1: float, lambda2: float) -> list:
+    """c_0, c_1, ... of an operator sum_j c_j(x) d^j/dx^j above, each in
+    increasing powers of x."""
     if operator == "a1":
-        return lambda f, x: apply_a1(f, x, q)
+        d = lambda1 - lambda2
+        return [[-d, 1.0], [-4.0 * (lambda1 + lambda2 + r)], [-4.0 * d, -8.0],
+                [16.0 * r], [0.0, 16.0]]
     if operator == "a2":
-        if q.lambda2 != 0.0:
-            raise UnsupportedParameterError("a2 requires lambda2 = 0")
-        return lambda f, x: apply_a2(f, x, q.r, q.lambda1)
-    if operator == "a3":
-        if q.lambda1 != 0.0 or q.lambda2 != 0.0:
-            raise UnsupportedParameterError("a3 requires lambda1 = lambda2 = 0")
-        return lambda f, x: apply_a3(f, x, q.r)
-    raise DomainError(f"unknown operator {operator!r}; expected a1, a2 or a3")
+        return [[-lambda1, 1.0], [-(4.0 * r + 2.0 * lambda1), -2.0],
+                [8.0 * r, -4.0], [0.0, 8.0]]
+    return [[0.0, -1.0], [4.0 * r], [0.0, 4.0]]
+
+
+def _operator_coeffs(operator: str, q: ChiSqDiffParams) -> list:
+    if operator not in ("a1", "a2", "a3"):
+        raise DomainError(f"unknown operator {operator!r}; expected a1, a2 or a3")
+    if operator == "a2" and q.lambda2 != 0.0:
+        raise UnsupportedParameterError("a2 requires lambda2 = 0")
+    if operator == "a3" and (q.lambda1 != 0.0 or q.lambda2 != 0.0):
+        raise UnsupportedParameterError("a3 requires lambda1 = lambda2 = 0")
+    return _coeffs(operator, q.r, q.lambda1, q.lambda2)
 
 
 def _check_integrable(f: TestFunction):
@@ -170,13 +187,13 @@ def stein_expectation(operator: str, f: TestFunction, q: ChiSqDiffParams,
     uncertainty is the standard error. quadrature: integrate A f against the
     density, split at the origin; uncertainty is the combined quad error bound.
     """
-    op = _operator_fn(operator, q)
+    terms = f.fold(_operator_coeffs(operator, q))
     _check_integrable(f)
     if method == "monte_carlo":
-        return _mean_and_error(op(f, sample_diff(q, count, seed).values))
+        return _mean_and_error(_evaluate(terms, sample_diff(q, count, seed).values))
     if method == "quadrature":
         def integrand(x):
-            return float(op(f, x)) * ncx2diff_pdf(x, q, ctrl)
+            return _evaluate(terms, x) * ncx2diff_pdf(x, q, ctrl)
         neg, e1 = quad(integrand, -np.inf, 0.0, limit=400)
         pos, e2 = quad(integrand, 0.0, np.inf, limit=400)
         return neg + pos, e1 + e2
@@ -196,14 +213,15 @@ def stein_report(q: ChiSqDiffParams, operator: str = "a1",
     if funcs is None:
         funcs = builtin_test_functions()
     if method == "monte_carlo":
-        op = _operator_fn(operator, q)
+        coeffs = _operator_coeffs(operator, q)
         t = sample_diff(q, count, seed).values
 
     rows = []
     for f in funcs:
         if method == "monte_carlo":
+            terms = f.fold(coeffs)
             _check_integrable(f)
-            est, unc = _mean_and_error(op(f, t))
+            est, unc = _mean_and_error(_evaluate(terms, t))
         else:
             est, unc = stein_expectation(operator, f, q, method=method,
                                          count=count, seed=seed)

@@ -41,6 +41,18 @@ class TestPdf:
         assert middle[2] == "singular" and middle[1] == ""
         assert float(rows[1][1]) > 0
 
+    def test_budget_error_names_max_terms(self, capsys):
+        # the certified window of (3, 100, 100) at 0.7 needs more cells than
+        # the default budget; the message names a budget that suffices
+        argv = ["pdf", "--diff", "--r", "3", "--lambda1", "100", "--lambda2", "100",
+                "--grid", "0.7:0.7:1"]
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == ""
+        need = int(err.split("--max-terms ")[1].split()[0])
+        code, out, _ = run(capsys, *argv, "--max-terms", str(need))
+        assert code == 0
+        assert json.loads(out)[0]["pdf"] == pytest.approx(0.0141003542, abs=1e-9)
+
     def test_product_route(self, capsys):
         code, out, _ = run(capsys, "pdf", "--product", "--mu-x", "0",
                            "--mu-y", "0", "--rho", "0.25", "--n", "2",

@@ -7,6 +7,7 @@ chi-square densities with mpmath at 40 digits (scripts/generate_oracle_values.py
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -14,13 +15,15 @@ from hypothesis import strategies as st
 from scipy import special as sc
 from scipy.integrate import quad
 
-from ncx2diff.density import (cf_inversion_pdf, char_fn_diff, char_fn_ncx2,
-                              char_fn_product, char_fn_sum, char_fn_sum_direct,
-                              ncx2_pdf, ncx2diff_pdf, singularity_constant)
-from ncx2diff.errors import NonConvergenceError, SingularPointError
+from ncx2diff.density import (_log_diagonal, cf_inversion_pdf, char_fn_diff,
+                              char_fn_ncx2, char_fn_product, char_fn_sum,
+                              char_fn_sum_direct, ncx2_pdf, ncx2diff_pdf,
+                              singularity_constant)
+from ncx2diff.errors import (InversionAccuracyError, NonConvergenceError,
+                             SingularPointError)
 from ncx2diff.params import ChiSqDiffParams, ProductNormalParams
 from ncx2diff.selftest import _equal_lambda_pdf
-from ncx2diff.specfun import DEFAULT_CONTROL, log_tricomi_u
+from ncx2diff.specfun import DEFAULT_CONTROL, SeriesControl, log_tricomi_u
 
 # (x, r, lam1, lam2) -> pdf, frozen from the 40-digit convolution oracle
 PDF_REFERENCE = [
@@ -33,6 +36,37 @@ PDF_REFERENCE = [
 ]
 
 
+# (r, x, k) -> ln U(r/2 + k, r + k, x), k = k0 + 100, 200, 300 past the last
+# seed k0 = max(1, ceil x) of the diagonal recurrence; mpmath's hyperu at 80
+# to 160 digits (scripts/generate_oracle_values.py)
+DIAGONAL_REFERENCE = [
+    (0.7, 0.5, 101, 66.79990384299931535749213),
+    (0.7, 0.5, 201, 135.6674030563315580333588),
+    (0.7, 0.5, 301, 204.7196783976343169966196),
+    (0.7, 10.0, 110, -255.7032549814838972900029),
+    (0.7, 10.0, 210, -486.3566589786445406092477),
+    (0.7, 10.0, 310, -716.8590991985259051066637),
+    (0.7, 40.0, 140, -518.7108316682309815898799),
+    (0.7, 40.0, 240, -887.8861900708947931642662),
+    (0.7, 40.0, 340, -1256.972798152624112531887),
+    (0.7, 150.0, 250, -1255.04981668030149048816),
+    (0.7, 150.0, 350, -1756.258362393473471165575),
+    (0.7, 150.0, 450, -2257.440405207687808244542),
+    (7.3, 0.5, 101, 86.73202464111275887445041),
+    (7.3, 0.5, 201, 157.8079193423974212817852),
+    (7.3, 0.5, 301, 228.1713938231507555080792),
+    (7.3, 10.0, 110, -255.0082209485627221389093),
+    (7.3, 10.0, 210, -483.7031268645336412584496),
+    (7.3, 10.0, 310, -712.9850262653926702566659),
+    (7.3, 40.0, 140, -525.8592419221236945779221),
+    (7.3, 40.0, 240, -893.5978879349112999641318),
+    (7.3, 40.0, 340, -1261.687072171946925751915),
+    (7.3, 150.0, 250, -1268.320972184064581067793),
+    (7.3, 150.0, 350, -1768.798323350125207328472),
+    (7.3, 150.0, 450, -2269.382229290930291670054),
+]
+
+
 def log_comb(n, k):
     """ln C(n, k)."""
     return float(sc.gammaln(n + 1) - sc.gammaln(k + 1) - sc.gammaln(n - k + 1))
@@ -40,8 +74,9 @@ def log_comb(n, k):
 
 def per_term_pdf(x, r, lam1, lam2, ctrl=DEFAULT_CONTROL):
     """The double series term by term, one log_tricomi_u call per (j, k)
-    term: the reference for the b-recurrence of ncx2diff_pdf. Same weights and
-    stopping rule."""
+    term: the reference for the b-recurrence of ncx2diff_pdf. Same weights;
+    it stops once three consecutive outer terms fall below abs_tol times the
+    running sum, a relative rule at every size of the density."""
     if x < 0:
         x, lam1, lam2 = -x, lam2, lam1
     log_pref = -r * math.log(2.0) - (x + lam1 + lam2) / 2.0
@@ -71,7 +106,7 @@ def per_term_pdf(x, r, lam1, lam2, ctrl=DEFAULT_CONTROL):
         total += outer
         if terms_used > ctrl.max_terms:
             raise NonConvergenceError("per-term series: max_terms exhausted")
-        if outer <= ctrl.abs_tol * max(total, ctrl.abs_tol):
+        if outer <= ctrl.abs_tol * total:
             small_streak += 1
             if small_streak >= 3:
                 return total
@@ -106,6 +141,13 @@ class TestCrossFormAgreement:
             d = ncx2diff_pdf(x, ChiSqDiffParams(r, lam, lam))
             e = _equal_lambda_pdf(x, r, lam)
             assert d == pytest.approx(e, rel=1e-9, abs=1e-300)
+
+    def test_equal_lambda_oracle_past_the_poisson_peak(self):
+        # the Bessel-K oracle's terms rise for about lam/2 steps before they
+        # fall; its stopping rule must not fire on the rise
+        q = ChiSqDiffParams(3.0, 60.0, 60.0)
+        ref = cf_inversion_pdf(10.0, lambda t: char_fn_diff(t, q))
+        assert _equal_lambda_pdf(10.0, 3.0, 60.0) == pytest.approx(ref, abs=1e-10)
 
     @pytest.mark.parametrize("r", [0.5, 1.0, 2.0, 3.0, 3.5, 7.0])
     @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0, 4.0])
@@ -247,3 +289,107 @@ class TestRecurrenceAgainstPerTermSeries:
         assume(x != 0.0)
         assert ncx2diff_pdf(x, ChiSqDiffParams(r, l1, l2)) == pytest.approx(
             per_term_pdf(x, r, l1, l2), rel=1e-11, abs=1e-300)
+
+
+def mp_diff_pdf(x, r, lam1, lam2):
+    """40-digit convolution of the two noncentral chi-square densities, with
+    breakpoints across the bulk of V1 so that a large lambda is resolved."""
+    with mp.workdps(40):
+        x, r, lam1, lam2 = (mp.mpf(v) for v in (x, r, lam1, lam2))
+
+        def f(u, lam):
+            if u <= 0:
+                return mp.mpf(0)
+            if lam == 0:
+                return u ** (r / 2 - 1) * mp.exp(-u / 2) / (2 ** (r / 2) * mp.gamma(r / 2))
+            return (mp.exp(-(u + lam) / 2) / 2 * (u / lam) ** (r / 4 - mp.mpf(1) / 2)
+                    * mp.besseli(r / 2 - 1, mp.sqrt(lam * u)))
+
+        lo = max(mp.mpf(0), x)
+        mean, sd = r + lam1, mp.sqrt(2 * r + 4 * lam1)
+        points = sorted({lo, lo + 5, lo + 40}
+                        | {mean + i * sd for i in range(-8, 9) if mean + i * sd > lo})
+        return float(mp.quad(lambda u: f(u, lam1) * f(u - x, lam2), points + [mp.inf]))
+
+
+def mp_series_pdf(x, r, lam1, lam2):
+    """The double series at 40 digits with mpmath's own U, term by term; the
+    outer sum stops once three consecutive falling rows are below 1e-20 of
+    it. An oracle for the window, recurrences and U routes of ncx2diff_pdf
+    near x = 0, where neither CF inversion nor the convolution quadrature
+    holds 1e-8 for r < 1."""
+    if x < 0:
+        x, lam1, lam2 = -x, lam2, lam1
+    with mp.workdps(40):
+        x, r, lam1, lam2 = (mp.mpf(v) for v in (x, r, lam1, lam2))
+        h = r / 2
+        total, prev, streak, k = mp.mpf(0), mp.mpf(0), 0, 0
+        while streak < 3:
+            row = mp.mpf(0)
+            for j in range(k + 1):
+                d = k - j
+                if (lam1 == 0 and d) or (lam2 == 0 and j):
+                    continue
+                row += ((lam1 / 4) ** d * (lam2 / 4) ** j * x ** (r + k - 1)
+                        * mp.hyperu(h + j, r + k, x)
+                        / (mp.factorial(d) * mp.factorial(j) * mp.gamma(h + d)))
+            row *= mp.exp(-(x + lam1 + lam2) / 2) / 2 ** r
+            total += row
+            streak = streak + 1 if row <= prev and row <= mp.mpf(10) ** -20 * total else 0
+            prev, k = row, k + 1
+        return float(total)
+
+
+class TestCertifiedWindow:
+    @settings(max_examples=25, deadline=None)
+    @given(r=st.floats(0.3, 10.0), l1=st.floats(0.0, 500.0),
+           l2=st.floats(0.0, 500.0), z=st.floats(-6.0, 6.0))
+    # the three rows that the series stopping before the Poisson peak got
+    # wrong by 20 to 70 orders of magnitude; (3, 100, 100) needs more than
+    # the default max_terms
+    @example(r=3.0, l1=60.0, l2=60.0, z=10.0 / (2.0 * math.sqrt(123.0)))
+    @example(r=3.0, l1=100.0, l2=100.0, z=0.7 / (2.0 * math.sqrt(203.0)))
+    @example(r=1.0, l1=200.0, l2=0.0, z=-50.0 / (2.0 * math.sqrt(201.0)))
+    def test_against_cf_inversion(self, r, l1, l2, z):
+        # x within 6 standard deviations of the mean; the value agrees with CF
+        # inversion (or, where that cannot meet its tolerance, the 40-digit
+        # convolution) to 1e-8, relatively where it exceeds 1, or the budget
+        # error names a max_terms at which it does. Within 0.01 of 0 CF
+        # inversion is silently wrong for r <= 2 (0.19 off at r = 0.5,
+        # x = 1e-6, and negative at r = 1.5): there the reference is the
+        # Bessel-K series at lambda1 = lambda2 (it needs |x|/2 > 0) and the
+        # 40-digit series else
+        x = l1 - l2 + z * 2.0 * math.sqrt(r + l1 + l2)
+        assume(x != 0.0)
+        q = ChiSqDiffParams(r, l1, l2)
+        try:
+            v = ncx2diff_pdf(x, q)
+        except NonConvergenceError as exc:
+            assert exc.max_terms > DEFAULT_CONTROL.max_terms
+            v = ncx2diff_pdf(x, q, SeriesControl(max_terms=exc.max_terms))
+        if l1 == l2 and abs(x) / 2.0 > 0.0:
+            ref = _equal_lambda_pdf(x, r, l1)
+        elif abs(x) < 0.01:
+            ref = mp_series_pdf(x, r, l1, l2)
+        else:
+            try:
+                ref = cf_inversion_pdf(x, lambda t: char_fn_diff(t, q))
+            except InversionAccuracyError:
+                ref = mp_diff_pdf(x, r, l1, l2)
+        assert abs(v - ref) <= 1e-8 * max(1.0, abs(ref))
+
+    def test_budget_error_names_a_sufficient_budget(self):
+        q = ChiSqDiffParams(3.0, 100.0, 100.0)
+        with pytest.raises(NonConvergenceError) as info:
+            ncx2diff_pdf(0.7, q)
+        ctrl = SeriesControl(max_terms=info.value.max_terms)
+        assert ncx2diff_pdf(0.7, q, ctrl) == pytest.approx(0.0141003542, abs=1e-9)
+        with pytest.raises(NonConvergenceError):
+            ncx2diff_pdf(0.7, q, SeriesControl(max_terms=info.value.max_terms - 1))
+
+    @pytest.mark.parametrize("r,x,k,ref", DIAGONAL_REFERENCE)
+    def test_diagonal_recurrence(self, r, x, k, ref):
+        # seeds up to k0 = max(1, ceil x), then the Kummer-transformed
+        # b-recurrence for 300 steps
+        lv = _log_diagonal(x, r, max(1, math.ceil(x)) + 300)
+        assert lv[k] - (r + k - 1.0) * math.log(x) == pytest.approx(ref, rel=1e-14)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special as sc
 
 from ncx2diff.errors import DomainError
 from ncx2diff.params import ChiSqDiffParams, ProductNormalParams
@@ -123,6 +124,15 @@ class TestTruncationCertificate:
             assert J == int(poisson.ppf(1.0 - tol, mu)), mu
             assert np.array_equal(_poisson_pmf(J, mu),
                                   poisson.pmf(range(J + 1), mu)), mu
+
+
+def test_poisson_cut_below_double_resolution():
+    # 1 - tol rounds to 1: the cut is the smallest J whose upper tail pdtrc
+    # is at most tol
+    for mu in (0.5, 5.0, 60.0, 1e4):
+        for tol in (1e-17, 1e-24, 1e-200):
+            J = _poisson_cut(mu, tol, 10 ** 6)
+            assert sc.pdtrc(J, mu) <= tol < sc.pdtrc(J - 1, mu)
 
 
 @pytest.fixture(scope="module")

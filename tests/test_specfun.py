@@ -7,6 +7,8 @@ library, then frozen here.
 
 import math
 
+import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -41,6 +43,29 @@ class TestTricomiU:
         # the quadrature behind the near-integer band and the hyperu fallback,
         # held to every frozen value in its region, whichever route serves it
         assert _log_u_trap(a, b, x) == pytest.approx(math.log(ref), abs=1e-12)
+
+    @pytest.mark.parametrize("a,b,x,ref", [row for row in U_REFERENCE if row[1] >= 1.0])
+    def test_batched_trapezoid(self, a, b, x, ref):
+        # one grid for a batch whose entries need different steps and ranges,
+        # against 60-digit mpmath
+        A = np.array([a, a + 7.5, 0.5 * a + 0.1, a + 30.0])
+        B = np.array([b, b + 7.0, b + 0.3, b + 61.0])
+        got = _log_u_trap(A, B, x)
+        with mp.workdps(60):
+            want = [float(mp.log(mp.hyperu(mp.mpf(ai), mp.mpf(bi), mp.mpf(x))))
+                    for ai, bi in zip(A, B)]
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-14 * max(1.0, abs(w))
+
+    def test_array_form_matches_scalar_calls(self):
+        # hyperu-box, trapezoid and reflected (b < 1) entries in one call
+        a = np.array([1.25, 2.25, 5.5, 2.3, 36.87])
+        b = np.array([2.5, 3.5, 11.0, 0.4, 9.01])
+        for x in (0.41, 1.7):
+            got = log_tricomi_u(a, b, x)
+            assert got.shape == a.shape
+            for g, ai, bi in zip(got, a, b):
+                assert g == pytest.approx(log_tricomi_u(float(ai), float(bi), x), rel=1e-14)
 
     def test_near_integer_b(self):
         # b = 9.01 sits 0.01 from an integer; scipy's hyperu loses ln U to
@@ -98,6 +123,15 @@ class TestBessel:
 
     def test_log_k_symmetric_in_order(self):
         assert log_bessel_k(-2.5, 1.3) == log_bessel_k(2.5, 1.3)
+
+    def test_smallest_subnormal_argument(self):
+        # x/2 underflows to 0 at x = 5e-324; the small-argument forms
+        # ln K = ln Gamma(nu) - ln 2 - nu ln(x/2), ln I = nu ln(x/2) - ln Gamma(nu+1)
+        x, nu = 5e-324, 2.5
+        half = math.log(x) - math.log(2.0)
+        assert log_bessel_k(nu, x) == pytest.approx(
+            sc.gammaln(nu) - math.log(2.0) - nu * half, rel=1e-14)
+        assert log_bessel_i(nu, x) == pytest.approx(nu * half - sc.gammaln(nu + 1.0), rel=1e-14)
 
     def test_log_k_large_order(self):
         # kve overflows; descending-series path; frozen mpmath reference

@@ -46,6 +46,27 @@ class TestDerivatives:
                 got = f.evaluate(j, self.XS)
                 assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), j
 
+    @pytest.mark.parametrize("f, expr", CASES[:10], ids=[c[0].name for c in CASES[:10]])
+    def test_operators_against_mpmath(self, f, expr):
+        # each operator folded into one polynomial per term, against
+        # sum_j c_j(x) f^(j)(x) from the mpmath derivatives
+        r, l1, l2 = 2.3, 1.7, 0.6
+        d = l1 - l2
+        ops = [(lambda x: apply_a1(f, x, ChiSqDiffParams(r, l1, l2)),
+                lambda x, D: 16 * x * D[4] + 16 * r * D[3] - (8 * x + 4 * d) * D[2]
+                - 4 * (l1 + l2 + r) * D[1] + (x - d) * D[0]),
+               (lambda x: apply_a2(f, x, r, l1),
+                lambda x, D: 8 * x * D[3] + (8 * r - 4 * x) * D[2]
+                - (2 * x + 4 * r + 2 * l1) * D[1] + (x - l1) * D[0]),
+               (lambda x: apply_a3(f, x, r),
+                lambda x, D: 4 * x * D[2] + 4 * r * D[1] - x * D[0])]
+        with mp.workdps(30):
+            derivs = [[mp.diff(expr, mp.mpf(x), j) for j in range(5)] for x in self.XS]
+            for op, formula in ops:
+                ref = np.array([float(formula(mp.mpf(x), D)) for x, D in zip(self.XS, derivs)])
+                got = op(self.XS)
+                assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
     def test_scalar_and_array_shapes(self):
         assert isinstance(FUNCS[8].evaluate(1, 0.5), float)
         assert FUNCS[8].evaluate(1, np.zeros((2, 3))).shape == (2, 3)
