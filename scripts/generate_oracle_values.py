@@ -75,6 +75,9 @@ if __name__ == "__main__":
     show("pdf(1.5;  r=1,   l1=0.5, l2=2)", diff_pdf("1.5", 1, "0.5", 2))
     show("pdf(1.3;  r=2.5, central)", diff_pdf("1.3", "2.5", 0, 0))
     show("pdf(-1e-6; r=3.7225, central)", diff_pdf("-1e-6", "3.7225", 0, 0))
+    show("pdf(0.3;  r=2.5, l1=1,   l2=0.5)", diff_pdf("0.3", "2.5", 1, "0.5"))
+    print("# noncentral chi-square density where ive underflows (Bessel-I series)")
+    show("ncx2_pdf(1e4; r=8002, lam=2000)", ncx2_pdf(10000, 8002, 2000), 25)
     print("# Tricomi U values")
     show("U(5.5, 11, 0.7)", hyperu(mpf("5.5"), 11, mpf("0.7")))
     show("U(0.75, 1.5, 20)", hyperu(mpf("0.75"), mpf("1.5"), 20))
@@ -86,6 +89,7 @@ if __name__ == "__main__":
     show("U(1, 1.0000000000000002, 0.5)", hyperu(1, mpf(1.0000000000000002), mpf("0.5")))
     show("U(1.86125, 3.7225, 1e-6)", hyperu(mpf("1.86125"), mpf("3.7225"), mpf("1e-6")))
     show("U(2.5, 4, 1e-6)", hyperu(mpf("2.5"), 4, mpf("1e-6")))
+    show("U(1.25, 2.5, 0.41)", hyperu(mpf("1.25"), mpf("2.5"), mpf("0.41")))
     show("ln U(36.87, 9.01, 0.41)", log(hyperu(mpf(36.87), mpf(9.01), mpf(0.41))), 25)
     print("# ln U(r/2 + k, r + k, x) on the density's diagonal, k0 + 100..300 "
           "past k0 = max(1, ceil x); mpmath's hyperu needs the extra digits at x = 150")
@@ -112,5 +116,6 @@ if __name__ == "__main__":
     print("# log-space Bessel/Kummer overflow corners")
     show("log I_1(800)", log(besseli(1, 800)), 25)
     show("log I_300(0.5)", log(besseli(300, mpf("0.5"))), 25)
+    show("log I_4000(1e4)", log(besseli(4000, 10000)), 25)
     show("log K_400(1)", log(besselk(400, 1)), 25)
     show("log M(2,3,900)", log(hyp1f1(2, 3, 900)), 25)

@@ -24,6 +24,7 @@ from .specfun import (
     DEFAULT_CONTROL,
     SeriesControl,
     _poisson_cut,
+    _poisson_pmf,
     log_bessel_i,
     log_tricomi_u,
 )
@@ -108,7 +109,7 @@ def _window_bounds(x: float, r: float, lam1: float, lam2: float,
         row = sup
     else:
         row = np.maximum.accumulate(sup)
-    rows = np.exp(sc.xlogy(k, mu) - sc.gammaln(k + 1.0) - mu) * row
+    rows = _poisson_pmf(cap, mu) * row
     past = np.cumsum(rows[::-1])[::-1]
     return np.append(past[1:], 0.0) + 0.5 * sc.pdtrc(cap, mu)
 
@@ -297,7 +298,7 @@ def char_fn_ncx2(t: float, r: float, lam: float) -> complex:
 def char_fn_product(t: float, p: ProductNormalParams) -> complex:
     """CF of the product Z = XY (the n field of p is ignored)."""
     if abs(p.rho) == 1.0:
-        return _char_fn_sum_repr(t, ProductNormalParams(
+        return char_fn_sum(t, ProductNormalParams(
             p.mu_x, p.mu_y, p.sigma_x, p.sigma_y, p.rho, 1))
     return _char_fn_sum_direct(t, p, 1)
 
@@ -312,7 +313,9 @@ def _char_fn_sum_direct(t: float, p: ProductNormalParams, n: int) -> complex:
     return d ** (-n / 2.0) * cmath.exp(num / (2.0 * d))
 
 
-def _char_fn_sum_repr(t: float, p: ProductNormalParams) -> complex:
+def char_fn_sum(t: float, p: ProductNormalParams) -> complex:
+    """CF of S_n via the noncentral chi-square factorisation (valid for all rho,
+    including the degenerate rho = +-1)."""
     rep = to_chisq_diff(p)
     out = cmath.exp(1j * rep.shift * t)
     if rep.scale_plus > 0:
@@ -320,12 +323,6 @@ def _char_fn_sum_repr(t: float, p: ProductNormalParams) -> complex:
     if rep.scale_minus > 0:
         out *= char_fn_ncx2(-rep.scale_minus * t, rep.r, rep.lambda_minus)
     return out
-
-
-def char_fn_sum(t: float, p: ProductNormalParams) -> complex:
-    """CF of S_n via the noncentral chi-square factorisation (valid for all rho,
-    including the degenerate rho = +-1)."""
-    return _char_fn_sum_repr(t, p)
 
 
 def char_fn_sum_direct(t: float, p: ProductNormalParams) -> complex:
@@ -345,7 +342,6 @@ def char_fn_diff(t: float, q: ChiSqDiffParams) -> complex:
 
 
 def cf_inversion_pdf(x: float, cf: Callable[[float], complex],
-                     ctrl: SeriesControl = DEFAULT_CONTROL,
                      tol: float = 1e-8) -> float:
     """Density at x by Fourier inversion of a characteristic function.
 

@@ -18,7 +18,7 @@ from scipy import special as sc
 
 from .errors import DomainError
 from .params import ChiSqDiffParams, ProductNormalParams, to_chisq_diff
-from .specfun import DEFAULT_CONTROL, SeriesControl, _poisson_cut
+from .specfun import DEFAULT_CONTROL, SeriesControl, _poisson_cut, _poisson_pmf
 
 __all__ = [
     "NegativityResult",
@@ -49,13 +49,6 @@ class NegativityResult:
             "terms_used": self.terms_used,
             "tail_bound": self.tail_bound,
         }
-
-
-def _poisson_pmf(J: int, mu: float) -> np.ndarray:
-    """Poisson(mu) probabilities of 0..J, formed as scipy.stats.poisson.pmf
-    forms them."""
-    k = np.arange(J + 1)
-    return np.exp(sc.xlogy(k, mu) - sc.gammaln(k + 1) - mu)
 
 
 def _beta_double_series(x: float, half_r1: float, half_r2: float,

@@ -57,27 +57,33 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-def _check_count(count: int):
+def _draws(count: int, seed: int, draw) -> np.ndarray:
+    """count values from draw(rng, m), called in order on chunks of
+    m <= _CHUNK values from the one stream keyed by seed."""
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count}")
+    rng = _rng(seed)
+    out = np.empty(count)
+    for lo in range(0, count, _CHUNK):
+        m = min(_CHUNK, count - lo)
+        out[lo:lo + m] = draw(rng, m)
+    return out
 
 
 def sample_product_definitional(p: ProductNormalParams, count: int,
                                 seed: int) -> SampleBatch:
     """Draw S_n = sum of n products Z = XY with (X, Y) bivariate normal:
     X = mu_x + sigma_x G1, Y = mu_y + sigma_y (rho G1 + sqrt(1-rho^2) G2)."""
-    _check_count(count)
-    rng = _rng(seed)
     root = math.sqrt(1.0 - p.rho * p.rho)
-    out = np.empty(count)
-    for lo in range(0, count, _CHUNK):
-        m = min(_CHUNK, count - lo)
+
+    def draw(rng, m):
         g = rng.standard_normal((m, 2 * p.n))
         g1, g2 = g[:, :p.n], g[:, p.n:]
         x = p.mu_x + p.sigma_x * g1
         y = p.mu_y + p.sigma_y * (p.rho * g1 + root * g2)
-        out[lo:lo + m] = (x * y).sum(axis=1)
-    return SampleBatch(out, seed, "definitional", p.to_dict())
+        return (x * y).sum(axis=1)
+
+    return SampleBatch(_draws(count, seed, draw), seed, "definitional", p.to_dict())
 
 
 def _draw_ncx2(rng: np.random.Generator, r: float, lam: float,
@@ -91,49 +97,39 @@ def _draw_ncx2(rng: np.random.Generator, r: float, lam: float,
 
 def sample_ncx2(r: float, lam: float, count: int, seed: int) -> SampleBatch:
     """Draw from the noncentral chi-square chi'^2_r(lambda)."""
-    _check_count(count)
     if r <= 0:
         raise DomainError(f"r must be positive, got {r}")
     if lam < 0:
         raise DomainError(f"lambda must be nonnegative, got {lam}")
-    rng = _rng(seed)
-    out = np.empty(count)
-    for lo in range(0, count, _CHUNK):
-        m = min(_CHUNK, count - lo)
-        out[lo:lo + m] = _draw_ncx2(rng, r, lam, m)
+    out = _draws(count, seed, lambda rng, m: _draw_ncx2(rng, r, lam, m))
     return SampleBatch(out, seed, "ncx2", {"r": r, "lambda": lam})
 
 
 def sample_diff(q: ChiSqDiffParams, count: int, seed: int) -> SampleBatch:
     """Draw T = V1 - V2 with independent noncentral chi-squares."""
-    _check_count(count)
-    rng = _rng(seed)
-    out = np.empty(count)
-    for lo in range(0, count, _CHUNK):
-        m = min(_CHUNK, count - lo)
+    def draw(rng, m):
         v1 = _draw_ncx2(rng, q.r, q.lambda1, m)
         v2 = _draw_ncx2(rng, q.r, q.lambda2, m)
-        out[lo:lo + m] = v1 - v2
-    return SampleBatch(out, seed, "representation", q.to_dict())
+        return v1 - v2
+
+    return SampleBatch(_draws(count, seed, draw), seed, "representation", q.to_dict())
 
 
 def sample_sum_via_representation(p: ProductNormalParams, count: int,
                                   seed: int) -> SampleBatch:
     """Draw S_n through its difference-of-noncentral-chi-squares representation
     scale_plus*V1 - scale_minus*V2 + shift (shift nonzero only at rho = +-1)."""
-    _check_count(count)
     q = to_chisq_diff(p)
-    rng = _rng(seed)
-    out = np.empty(count)
-    for lo in range(0, count, _CHUNK):
-        m = min(_CHUNK, count - lo)
+
+    def draw(rng, m):
         acc = np.full(m, q.shift)
         if q.scale_plus > 0:
             acc += q.scale_plus * _draw_ncx2(rng, q.r, q.lambda_plus, m)
         if q.scale_minus > 0:
             acc -= q.scale_minus * _draw_ncx2(rng, q.r, q.lambda_minus, m)
-        out[lo:lo + m] = acc
-    return SampleBatch(out, seed, "representation", p.to_dict())
+        return acc
+
+    return SampleBatch(_draws(count, seed, draw), seed, "representation", p.to_dict())
 
 
 def ks_two_sample(a: SampleBatch, b: SampleBatch) -> tuple[float, float]:

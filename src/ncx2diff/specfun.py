@@ -1,10 +1,12 @@
 """Special-function kernel in log form: modified Bessel I/K, Kummer M and
 Tricomi U.
 
-Production evaluation is delegated to scipy.special where it is accurate in the
-regimes we need; the overflow corners (large-order Bessel K, large second
-parameter in U, large-argument M) get dedicated log-space paths, since the
-density and moment series must not silently overflow.
+The Bessel functions come from scipy's exponentially scaled ive/kve, with
+log-space series where those underflow or overflow (large order); Kummer M
+from its positive series in log space; Tricomi U from one trapezoidal
+quadrature of its integral representation, for every (a, b, x). The density
+and moment series must not silently overflow, and each series either
+converges or raises NonConvergenceError.
 """
 
 from __future__ import annotations
@@ -46,6 +48,10 @@ class SeriesControl:
 
 DEFAULT_CONTROL = SeriesControl()
 
+# terms of the ascending Bessel-I series before it raises: enough for
+# arguments up to about 1e5 where ive underflows
+_BESSEL_I_TERMS = 100_000
+
 
 def _poisson_cut(mu: float, tol: float, max_terms: int) -> int:
     """Smallest J with P(Poisson(mu) > J) <= tol: the (1 - tol) quantile, by
@@ -74,6 +80,13 @@ def _poisson_cut(mu: float, tol: float, max_terms: int) -> int:
     return J
 
 
+def _poisson_pmf(J: int, mu: float) -> np.ndarray:
+    """Poisson(mu) probabilities of 0..J, formed as scipy.stats.poisson.pmf
+    forms them."""
+    k = np.arange(J + 1)
+    return np.exp(sc.xlogy(k, mu) - sc.gammaln(k + 1) - mu)
+
+
 def log_bessel_i(nu: float, x: float) -> float:
     """ln I_nu(x), stable for large x and for large order at small argument."""
     if nu < 0:
@@ -90,15 +103,19 @@ def log_bessel_i(nu: float, x: float) -> float:
     # ln x - ln 2 rather than ln(x/2), which is ln 0 at x = 5e-324
     half = math.log(x) - math.log(2.0)
     logs = []
-    lt = nu * half - sc.gammaln(nu + 1.0)
-    m = 0
-    while True:
+    lt = best = nu * half - sc.gammaln(nu + 1.0)
+    for m in range(1, _BESSEL_I_TERMS):
         logs.append(lt)
-        m += 1
-        lt += 2.0 * half - math.log(m) - math.log(nu + m)
-        if lt < logs[0] - 40.0 or m > 500:
-            break
-    return float(sc.logsumexp(logs))
+        # ln of the term ratio (x^2/4) / (m (nu + m)), which falls with m:
+        # stop once it is below 1 and the terms lie 40 below the largest, so
+        # that the omitted rest is below the current term over 1 - e^ratio
+        ratio = 2.0 * half - math.log(m) - math.log(nu + m)
+        lt += ratio
+        best = max(best, lt)
+        if ratio < 0.0 and lt < best - 40.0:
+            return float(sc.logsumexp(logs))
+    raise NonConvergenceError(
+        f"log_bessel_i: {_BESSEL_I_TERMS} series terms exhausted at (nu={nu}, x={x})")
 
 
 def log_bessel_k(nu: float, x: float) -> float:
@@ -147,24 +164,37 @@ def log_kummer_m(a: float, b: float, x: float, ctrl: SeriesControl = DEFAULT_CON
     raise NonConvergenceError(f"log_kummer_m: {ctrl.max_terms} terms exhausted at (a={a}, b={b}, x={x})")
 
 
-def _log_u_trap(a, b, x: float):
-    """ln U(a, b, x) by the trapezoidal rule, for a > 0, x > 0; a and b are
-    scalars or equal-length 1-d arrays, all at the one x.
+def log_tricomi_u(a, b, x: float):
+    """ln U(a, b, x) for x > 0 and a > 0 after the b < 1 reflection
+    U(a, b, x) = x^{1-b} U(a - b + 1, 2 - b, x), where U > 0.
 
+    a and b are scalars or equal-length 1-d arrays, all at the one x; the
+    result then is an array.
+
+    A trapezoidal rule on the integral representation (DLMF 13.4.4):
     U Gamma(a) x^a = int e^{phi(t)} dt with s = e^t and
     phi(t) = a t - e^t + c log1p(e^t / x), c = b - a - 1. The integrand is
     analytic in |Im t| < pi/2 and decays at both ends, so the trapezoidal rule
     on the whole line converges geometrically in 1/h. log1p(e^t / x) is taken
     as logaddexp(0, t - ln x), which stays finite where e^t / x overflows
     (x subnormal). A batch shares one grid: the smallest step and the union of
-    the ranges that each element needs, which only adds accuracy.
+    the ranges that each element needs, which only adds accuracy. scipy's own
+    U is not used: it is silently wrong in much of the range the density
+    series needs, by 24 in ln U at integer b (see CHANGES.md).
     """
+    if x <= 0:
+        raise DomainError(f"log_tricomi_u requires x > 0, got {x}")
     scalar = np.ndim(a) == 0 and np.ndim(b) == 0
     a, b = np.broadcast_arrays(np.atleast_1d(np.asarray(a, dtype=float)),
                                np.atleast_1d(np.asarray(b, dtype=float)))
+    lx = math.log(x)
+    refl = b < 1.0
+    shift = np.where(refl, (1.0 - b) * lx, 0.0)
+    a, b = np.where(refl, a - b + 1.0, a), np.where(refl, 2.0 - b, b)
+    if not (a > 0).all():
+        raise DomainError("log_tricomi_u requires a > 0 (after reflection)")
     c = b - a - 1.0
     big = a + np.maximum(c, 0.0)
-    lx = math.log(x)
 
     def phi(t):
         return a[:, None] * t - np.exp(t) + c[:, None] * np.logaddexp(0.0, t - lx)
@@ -200,48 +230,5 @@ def _log_u_trap(a, b, x: float):
         raise NonConvergenceError(
             f"U trapezoid unresolved at (a={a[i]}, b={b[i]}, x={x}): "
             f"step-h and step-2h sums differ by {gap[i]:.1e}")
-    out = np.log(h * fine) + m - a * lx - sc.gammaln(a)
-    return float(out[0]) if scalar else out
-
-
-def log_tricomi_u(a, b, x: float):
-    """ln U(a, b, x) for x > 0 and a > 0 after the b < 1 reflection
-    U(a, b, x) = x^{1-b} U(a - b + 1, 2 - b, x), where U > 0.
-
-    a and b may be equal-length 1-d arrays (one x for all); the result then is
-    an array, and one trapezoid grid serves every entry off hyperu.
-
-    Two routes: scipy's hyperu inside the box where it was measured to be
-    accurate, and everywhere else a trapezoidal quadrature of the integral
-    representation (`_log_u_trap`, within 1.1e-14 of 40-digit mpmath). The
-    box is b < 4 with b at least 0.1 from an integer, a <= b + 1 and
-    x < max(1, 2(b - a - 1)): against the trapezoid, hyperu was within 5.7e-14
-    in ln U at all 80,000 random points of it (1e-8 <= a, 1e-14 <= x). Outside
-    it hyperu is silently wrong in many places, for example by 24 in ln U at
-    U(3.997, 5, 0.0097) (integer b), 3.9e-11 at U(0.5, 9, 10.94), 5.8e-10 at
-    U(25.21, 30.42, 7.0), 1e-8 for a > b + 1 at small x, 4.5e-7 at large x,
-    and about 2e-15/|b - n| by cancellation for b near an integer n.
-    """
-    if x <= 0:
-        raise DomainError(f"log_tricomi_u requires x > 0, got {x}")
-    scalar = np.ndim(a) == 0 and np.ndim(b) == 0
-    a, b = np.broadcast_arrays(np.atleast_1d(np.asarray(a, dtype=float)),
-                               np.atleast_1d(np.asarray(b, dtype=float)))
-    lx = math.log(x)
-    refl = b < 1.0
-    shift = np.where(refl, (1.0 - b) * lx, 0.0)
-    a, b = np.where(refl, a - b + 1.0, a), np.where(refl, 2.0 - b, b)
-    if not (a > 0).all():
-        raise DomainError("log_tricomi_u requires a > 0 (after reflection)")
-    c = b - a - 1.0
-    out = np.full(a.shape, np.nan)
-    box = (b < 4.0) & (np.abs(b - np.round(b)) >= 0.1) & (c >= -2.0) \
-        & (x < np.maximum(1.0, 2.0 * c))
-    if box.any():
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out[box] = np.log(sc.hyperu(a[box], b[box], x))
-    trap = ~np.isfinite(out)
-    if trap.any():
-        out[trap] = _log_u_trap(a[trap], b[trap], x)
-    out += shift
+    out = np.log(h * fine) + m - a * lx - sc.gammaln(a) + shift
     return float(out[0]) if scalar else out

@@ -127,6 +127,12 @@ class TestAgainstConvolutionOracle:
         assert ncx2diff_pdf(-1e-6, ChiSqDiffParams(3.7225, 0.0, 0.0)) == pytest.approx(
             0.132278122100730107001604399565, rel=1e-12)
 
+    def test_ncx2_pdf_where_ive_underflows(self):
+        # I_4000(4472) by its ascending series, whose terms peak near the
+        # 1,000th; 40-digit mpmath reference
+        assert ncx2_pdf(1e4, 8002.0, 2000.0) == pytest.approx(
+            0.002575175252873031440040618, rel=1e-10)
+
     def test_central_bessel_form(self):
         # the Bessel-K oracle at lambda = 0: the variance-gamma density
         assert _equal_lambda_pdf(1.3, 2.5, 0.0) == pytest.approx(

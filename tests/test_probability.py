@@ -13,11 +13,10 @@ from ncx2diff.errors import DomainError
 from ncx2diff.params import ChiSqDiffParams, ProductNormalParams
 from ncx2diff.probability import (TABLE1_FLAGGED, TABLE1_PAPER_VALUES,
                                   TABLE1_PRINTED_SLIPS, TABLE1_RHOS,
-                                  _poisson_cut, _poisson_pmf,
                                   prob_nonpositive_central,
                                   prob_nonpositive_diff, prob_nonpositive_sum,
                                   table1, table1_cell_ok, table1_summary)
-from ncx2diff.specfun import SeriesControl
+from ncx2diff.specfun import SeriesControl, _poisson_cut, _poisson_pmf
 
 
 class TestFrozenOracle:

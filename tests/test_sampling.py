@@ -26,6 +26,34 @@ class TestDeterminism:
         r2 = sample_sum_via_representation(p, 10000, 7)
         assert np.array_equal(r1.values, r2.values)
 
+    @pytest.mark.parametrize("route,head,total", [
+        ("definitional",
+         [-2.6204772566491528, -3.4090455216014224, -0.00609309329170582,
+          -2.283524039160789, -0.7680431457673184], -1573651.3912228097),
+        ("representation",
+         [-2.997925858594468, -7.592132907381659, -5.726916561479992,
+          -0.4207121881170438, -0.019664743283373975], -1568671.7970509164),
+        ("ncx2",
+         [5.293744721584863, 6.021440845852358, 0.3790677818938533,
+          7.73032406590161, 2.1256884388499024], 4400477.613802519),
+        ("diff",
+         [-3.4201153485663163, 3.8615129011115883, -19.61579753416424,
+          4.310557169844893, -4.568019613072343], 838514.3709342649),
+    ])
+    def test_frozen_stream(self, route, head, total):
+        # the stream is part of the contract: 2^20 + 3 draws cross a chunk
+        # boundary, and the values must not move by one bit
+        p = ProductNormalParams(1.0, -1.0, rho=0.25, n=2)
+        count = (1 << 20) + 3
+        batch = {
+            "definitional": lambda: sample_product_definitional(p, count, 5),
+            "representation": lambda: sample_sum_via_representation(p, count, 5),
+            "ncx2": lambda: sample_ncx2(3.0, 1.2, count, 5),
+            "diff": lambda: sample_diff(ChiSqDiffParams(3.0, 1.2, 0.4), count, 5),
+        }[route]()
+        assert batch.values[:5].tolist() == head
+        assert math.fsum(batch.values.tolist()) == total
+
     def test_seed_changes_stream(self):
         p = ProductNormalParams(1.0, -1.0, rho=0.25, n=2)
         a = sample_product_definitional(p, 1000, 1)

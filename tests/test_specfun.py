@@ -14,9 +14,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special as sc
 
-from ncx2diff.errors import DomainError
-from ncx2diff.specfun import (SeriesControl, _log_u_trap, log_bessel_i,
-                              log_bessel_k, log_kummer_m, log_tricomi_u)
+from ncx2diff.density import ncx2diff_pdf
+from ncx2diff.errors import DomainError, NonConvergenceError
+from ncx2diff.params import ChiSqDiffParams
+from ncx2diff.specfun import (SeriesControl, log_bessel_i, log_bessel_k,
+                              log_kummer_m, log_tricomi_u)
 
 # (a, b, x) -> U(a, b, x), frozen from the 40-digit oracle
 U_REFERENCE = [
@@ -39,18 +41,12 @@ class TestTricomiU:
         assert log_tricomi_u(a, b, x) == pytest.approx(math.log(ref), abs=1e-12)
 
     @pytest.mark.parametrize("a,b,x,ref", [row for row in U_REFERENCE if row[1] >= 1.0])
-    def test_trapezoid_route(self, a, b, x, ref):
-        # the quadrature behind the near-integer band and the hyperu fallback,
-        # held to every frozen value in its region, whichever route serves it
-        assert _log_u_trap(a, b, x) == pytest.approx(math.log(ref), abs=1e-12)
-
-    @pytest.mark.parametrize("a,b,x,ref", [row for row in U_REFERENCE if row[1] >= 1.0])
     def test_batched_trapezoid(self, a, b, x, ref):
         # one grid for a batch whose entries need different steps and ranges,
         # against 60-digit mpmath
         A = np.array([a, a + 7.5, 0.5 * a + 0.1, a + 30.0])
         B = np.array([b, b + 7.0, b + 0.3, b + 61.0])
-        got = _log_u_trap(A, B, x)
+        got = log_tricomi_u(A, B, x)
         with mp.workdps(60):
             want = [float(mp.log(mp.hyperu(mp.mpf(ai), mp.mpf(bi), mp.mpf(x))))
                     for ai, bi in zip(A, B)]
@@ -58,7 +54,8 @@ class TestTricomiU:
             assert abs(g - w) <= 1e-14 * max(1.0, abs(w))
 
     def test_array_form_matches_scalar_calls(self):
-        # hyperu-box, trapezoid and reflected (b < 1) entries in one call
+        # entries with small and large b, b near an integer and reflected
+        # (b < 1) entries in one call
         a = np.array([1.25, 2.25, 5.5, 2.3, 36.87])
         b = np.array([2.5, 3.5, 11.0, 0.4, 9.01])
         for x in (0.41, 1.7):
@@ -66,6 +63,20 @@ class TestTricomiU:
             assert got.shape == a.shape
             for g, ai, bi in zip(got, a, b):
                 assert g == pytest.approx(log_tricomi_u(float(ai), float(bi), x), rel=1e-14)
+
+    def test_no_call_to_scipy_hyperu(self, monkeypatch):
+        # scipy's hyperu is silently wrong in much of the range the density
+        # series needs; these points once went to it (40-digit mpmath values)
+        def hyperu(*args):
+            raise AssertionError("scipy.special.hyperu called")
+
+        monkeypatch.setattr(sc, "hyperu", hyperu)
+        assert log_tricomi_u(1.25, 2.5, 0.41) == pytest.approx(
+            math.log(4.1692478409474843188803976122), abs=1e-12)
+        assert log_tricomi_u(1.86125, 3.7225, 1e-6) == pytest.approx(
+            math.log(35840480575976657.8355559866686), abs=1e-12)
+        assert ncx2diff_pdf(0.3, ChiSqDiffParams(2.5, 1.0, 0.5)) == pytest.approx(
+            0.140905997995911169374098218689, rel=1e-10)
 
     def test_near_integer_b(self):
         # b = 9.01 sits 0.01 from an integer; scipy's hyperu loses ln U to
@@ -115,6 +126,17 @@ class TestBessel:
         # ive underflows; ascending series path; frozen mpmath reference
         assert log_bessel_i(300.0, 0.5) == pytest.approx(
             -1830.793950639910543071832, abs=1e-9)
+
+    def test_log_i_series_past_its_first_term(self):
+        # ive underflows, and the series terms peak near the 3,400th, far
+        # above the first; frozen mpmath reference
+        assert log_bessel_i(4000.0, 1e4) == pytest.approx(
+            9204.627130403740926515622, rel=1e-13)
+
+    def test_log_i_series_budget_raises(self):
+        # a peak past the fixed term budget raises rather than truncating
+        with pytest.raises(NonConvergenceError):
+            log_bessel_i(4e5, 1e8)
 
     def test_log_k_matches_direct(self):
         for nu, x in [(0.25, 2.0), (3.0, 0.5), (0.0, 15.0)]:
