@@ -41,6 +41,14 @@ class TestTricomiU:
         assert log_tricomi_u(a, b, x) == pytest.approx(math.log(ref), abs=1e-12)
 
     @pytest.mark.parametrize("a,b,x,ref", [row for row in U_REFERENCE if row[1] >= 1.0])
+    def test_trapezoid_route(self, a, b, x, ref):
+        # the quadrature with no reflection, entered through its array form,
+        # held to every frozen value in its region
+        got = log_tricomi_u(np.array([a]), np.array([b]), x)
+        assert got.shape == (1,)
+        assert got[0] == pytest.approx(math.log(ref), abs=1e-12)
+
+    @pytest.mark.parametrize("a,b,x,ref", [row for row in U_REFERENCE if row[1] >= 1.0])
     def test_batched_trapezoid(self, a, b, x, ref):
         # one grid for a batch whose entries need different steps and ranges,
         # against 60-digit mpmath
