@@ -4,14 +4,15 @@ Every value is computed with mpmath at 40 significant digits through routes
 independent of the library code: the density by direct numerical convolution
 of two noncentral chi-square densities, U/M/Bessel values by mpmath's own
 implementations, negativity probabilities by the Poisson-weighted incomplete
-beta double series and, for the published-table cells, by quadrature of the
-conditional normal, and moments by the Kummer-M closed form.
+beta double series and, for the published-table cells and the near-degenerate
+correlations, by quadrature of the conditional normal, Poisson weights from
+their closed form, and moments by the Kummer-M closed form.
 
 Run:  python scripts/generate_oracle_values.py
 """
 
 from mpmath import (besseli, besselk, betainc, exp, factorial, gamma, hyp1f1,
-                    hyperu, inf, log, mp, mpf, ncdf, npdf, quad, sqrt)
+                    hyperu, inf, log, loggamma, mp, mpf, ncdf, npdf, quad, sqrt)
 
 mp.dps = 40
 
@@ -46,15 +47,32 @@ def prob_diff_nonpositive(r, lam1, lam2, terms=120):
 def prob_product_nonpositive(mu_x, mu_y, rho):
     """P(XY <= 0) for unit-variance (X, Y) with correlation rho, as
     int phi(x - mu_x) P(sign Y != sign x | X = x) dx, where
-    Y | X = x ~ N(mu_y + rho (x - mu_x), 1 - rho^2)."""
+    Y | X = x ~ N(mu_y + rho (x - mu_x), 1 - rho^2). Split at 0 and where the
+    conditional mean of Y crosses 0, a step of width sqrt(1 - rho^2)."""
     mu_x, mu_y, rho = mpf(mu_x), mpf(mu_y), mpf(rho)
     s = sqrt(1 - rho ** 2)
 
-    def z(x):
-        return (mu_y + rho * (x - mu_x)) / s
+    def f(x):
+        z = (mu_y + rho * (x - mu_x)) / s
+        return npdf(x, mu_x, 1) * ncdf(z if x < 0 else -z)
 
-    return (quad(lambda x: npdf(x, mu_x, 1) * ncdf(z(x)), [-inf, 0])
-            + quad(lambda x: npdf(x, mu_x, 1) * ncdf(-z(x)), [0, inf]))
+    cuts = sorted({mpf(0), mu_x - mu_y / rho} if rho != 0 else {mpf(0)})
+    return quad(f, [-inf] + cuts + [inf])
+
+
+# Poisson means of the window tests and nine indices each: 0..8 for mu <= 1,
+# else the mode and 1, 2, 4 and 6 standard deviations either side
+POISSON_MEANS = ("1e-3", "0.5", "60", "4e4", "1e6")
+
+
+def poisson_indices(mu):
+    if mu <= 1:
+        return list(range(9))
+    return [int(mu + z * sqrt(mu)) for z in (-6, -4, -2, -1, 0, 1, 2, 4, 6)]
+
+
+def poisson_weight(k, mu):
+    return exp(k * log(mu) - loggamma(k + 1) - mu) if k else exp(-mu)
 
 
 def ncx2_moment(k, r, lam):
@@ -110,6 +128,16 @@ if __name__ == "__main__":
                             (0, 0, "-0.75")]:
         show(f"P(XY<=0; mu=({mu_x},{mu_y}), rho={rho})",
              prob_product_nonpositive(mu_x, mu_y, rho))
+    print("# near-degenerate correlation, where the Poisson windows start far "
+          "above 0 (conditional-normal route)")
+    for mu_x, mu_y, rho in [(1, -1, "0.9999"), (3, -1, "0.9999"), (1, -1, "0.999999")]:
+        show(f"P(XY<=0; mu=({mu_x},{mu_y}), rho={rho})",
+             prob_product_nonpositive(mu_x, mu_y, rho))
+    print("# Poisson(mu) weights at nine indices per mean")
+    for m in POISSON_MEANS:
+        mu = mpf(m)
+        print(f"mu = {m}: " + ", ".join(
+            f"({k}, {mp.nstr(poisson_weight(k, mu), 25)})" for k in poisson_indices(mu)))
     print("# noncentral chi-square moments (Kummer route)")
     show("E[V^5] (r=3, lam=1.2)", ncx2_moment(5, 3, "1.2"))
     show("E[V^10] (r=0.5, lam=4)", ncx2_moment(10, "0.5", 4))

@@ -3,8 +3,8 @@ probabilities, sampling, the published probability table, the Stein harness,
 and the deterministic self-test.
 
 Exit codes: 0 success, 1 self-test failure, 2 flag errors (argparse),
-3 numerical non-convergence. The default series tolerance can be overridden
-with the NCX2DIFF_ABS_TOL environment variable.
+3 numerical non-convergence; its message names a --max-terms that suffices
+where the evaluator knows one.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 
 import numpy as np
@@ -65,10 +64,7 @@ def _params(args, parser):
 
 
 def _ctrl(args) -> SeriesControl:
-    tol = args.abs_tol
-    if tol is None:
-        tol = float(os.environ.get("NCX2DIFF_ABS_TOL", 1e-12))
-    return SeriesControl(abs_tol=tol, max_terms=args.max_terms)
+    return SeriesControl(abs_tol=args.abs_tol, max_terms=args.max_terms)
 
 
 def _emit_rows(rows, header, args):
@@ -227,9 +223,8 @@ def _cmd_selftest(args, parser):
 def _common_flags(parser, suppress=False):
     d = argparse.SUPPRESS if suppress else None
     parser.add_argument("--abs-tol", type=float,
-                        default=d,
-                        help="series tolerance (default: NCX2DIFF_ABS_TOL env "
-                             "var or 1e-12)")
+                        default=argparse.SUPPRESS if suppress else 1e-12,
+                        help="series tolerance (default: 1e-12)")
     parser.add_argument("--max-terms", type=int,
                         default=argparse.SUPPRESS if suppress else 10000)
     parser.add_argument("--format", choices=["csv", "json"],

@@ -23,8 +23,7 @@ from .params import ChiSqDiffParams, ChiSqDiffRepr, ProductNormalParams, to_chis
 from .specfun import (
     DEFAULT_CONTROL,
     SeriesControl,
-    _poisson_cut,
-    _poisson_pmf,
+    _poisson_window,
     log_bessel_i,
     log_tricomi_u,
 )
@@ -90,11 +89,13 @@ def _window_bounds(x: float, r: float, lam1: float, lam2: float,
     chi^2_{r+2 j1} density; for j1 = 0 and r <= 2 it is also at most
     int chi^2_r chi^2_{r+2 j2} <= Gamma(r) / (2^{r+1} Gamma(r/2) Gamma(r/2+1)),
     since j2 >= 1 past k = 0. So row k sums to at most its Poisson weight
-    times the largest S(j1) in it, never more than 1/2, and the rows past
-    the cap (Poisson tail at most floor) add at most floor / 2.
+    times the largest S(j1) in it, never more than 1/2, and the rows outside
+    the Poisson window lo..hi (mass at most floor) add at most floor / 2:
+    E[K] counts that half of the omitted mass for every K.
     """
     mu = (lam1 + lam2) / 2.0
-    cap = _poisson_cut(mu, floor, math.inf)
+    lo, w, omitted = _poisson_window(mu, floor, math.inf)
+    cap = lo + w.size - 1
     k = np.arange(cap + 1)
     nu = r + 2.0 * k
     y = np.maximum(x, nu - 2.0)  # where chi^2_nu peaks on [x, inf)
@@ -109,9 +110,10 @@ def _window_bounds(x: float, r: float, lam1: float, lam2: float,
         row = sup
     else:
         row = np.maximum.accumulate(sup)
-    rows = _poisson_pmf(cap, mu) * row
+    rows = np.zeros(cap + 1)
+    rows[lo:] = w * row[lo:]
     past = np.cumsum(rows[::-1])[::-1]
-    return np.append(past[1:], 0.0) + 0.5 * sc.pdtrc(cap, mu)
+    return np.append(past[1:], 0.0) + 0.5 * omitted
 
 
 def _log_diagonal(x: float, r: float, K: int) -> np.ndarray:

@@ -3,8 +3,9 @@ Poisson-weighted double series of regularized incomplete beta functions (the
 CDF of the doubly noncentral F ratio), with certified truncation bounds.
 
 Every beta factor lies in [0, 1], so the truncation error of the double series
-is bounded by the bivariate Poisson tail weight; each index is cut at the
-Poisson quantile of level abs_tol/4 and the exact tail weight is reported.
+is bounded by the Poisson mass it omits. Each index runs over the shortest
+window that omits at most abs_tol/4 of its Poisson mass, abs_tol/8 at each
+end, and the exact omitted mass of the two windows is reported.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from scipy import special as sc
 
 from .errors import DomainError
 from .params import ChiSqDiffParams, ProductNormalParams, to_chisq_diff
-from .specfun import DEFAULT_CONTROL, SeriesControl, _poisson_cut, _poisson_pmf
+from .specfun import DEFAULT_CONTROL, SeriesControl, _poisson_window
 
 __all__ = [
     "NegativityResult",
@@ -37,7 +38,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class NegativityResult:
-    """A negativity probability with the truncation certificate."""
+    """A negativity probability with its truncation certificate: tail_bound
+    is the exact Poisson mass that the windows omit, at most abs_tol/2, and
+    bounds the error since every summed factor lies in [0, 1]."""
 
     probability: float
     terms_used: int
@@ -54,40 +57,35 @@ class NegativityResult:
 def _beta_double_series(x: float, half_r1: float, half_r2: float,
                         lam1: float, lam2: float,
                         ctrl: SeriesControl) -> NegativityResult:
-    """sum_{j,k} pois(j; lam1/2) pois(k; lam2/2) I_x(half_r1 + j, half_r2 + k)."""
-    mu1, mu2 = lam1 / 2.0, lam2 / 2.0
-    J = _poisson_cut(mu1, ctrl.abs_tol / 4.0, ctrl.max_terms)
-    K = _poisson_cut(mu2, ctrl.abs_tol / 4.0, ctrl.max_terms)
-    wj = _poisson_pmf(J, mu1)
-    wk = _poisson_pmf(K, mu2)
-    bk = half_r2 + np.arange(K + 1)
+    """sum_{j,k} pois(j; lam1/2) pois(k; lam2/2) I_x(half_r1 + j, half_r2 + k)
+    over two Poisson windows, each omitting at most abs_tol/4."""
+    lo1, wj, o1 = _poisson_window(lam1 / 2.0, ctrl.abs_tol / 4.0, ctrl.max_terms)
+    lo2, wk, o2 = _poisson_window(lam2 / 2.0, ctrl.abs_tol / 4.0, ctrl.max_terms)
+    bk = half_r2 + lo2 + np.arange(wk.size)
     # one betainc call per row j keeps memory at O(K); fsum over every
     # rectangle is exact, whatever the order
     total = math.fsum(chain.from_iterable(
-        (wj[j] * wk * sc.betainc(half_r1 + j, bk, x)).tolist()
-        for j in range(J + 1)))
-    tail = 1.0 - math.fsum(wj) * math.fsum(wk)
+        (w * wk * sc.betainc(half_r1 + lo1 + j, bk, x)).tolist()
+        for j, w in enumerate(wj)))
     return NegativityResult(
         probability=min(max(total, 0.0), 1.0),
-        terms_used=(J + 1) * (K + 1),
-        tail_bound=max(tail, 0.0),
+        terms_used=wj.size * wk.size,
+        tail_bound=1.0 - (1.0 - o1) * (1.0 - o2),
     )
 
 
 def _ncx2_cdf_mixture(c: float, r: float, lam: float,
                       ctrl: SeriesControl) -> NegativityResult:
     """P(V <= c) for V ~ chi'^2_r(lambda) as a Poisson mixture of regularized
-    incomplete gamma functions."""
+    incomplete gamma functions over one Poisson window."""
     if c < 0:
         return NegativityResult(0.0, 1, 0.0)
-    mu = lam / 2.0
-    J = _poisson_cut(mu, ctrl.abs_tol / 4.0, ctrl.max_terms)
-    wj = _poisson_pmf(J, mu)
-    total = math.fsum((wj * sc.gammainc(r / 2.0 + np.arange(J + 1), c / 2.0)).tolist())
+    lo, wj, omitted = _poisson_window(lam / 2.0, ctrl.abs_tol / 4.0, ctrl.max_terms)
+    total = math.fsum((wj * sc.gammainc(r / 2.0 + lo + np.arange(wj.size), c / 2.0)).tolist())
     return NegativityResult(
         probability=min(max(total, 0.0), 1.0),
-        terms_used=J + 1,
-        tail_bound=max(1.0 - math.fsum(wj), 0.0),
+        terms_used=wj.size,
+        tail_bound=omitted,
     )
 
 

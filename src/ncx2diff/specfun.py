@@ -53,38 +53,42 @@ DEFAULT_CONTROL = SeriesControl()
 _BESSEL_I_TERMS = 100_000
 
 
-def _poisson_cut(mu: float, tol: float, max_terms: int) -> int:
-    """Smallest J with P(Poisson(mu) > J) <= tol: the (1 - tol) quantile, by
-    the inverse of the Poisson CDF and one step down, as scipy.stats.poisson
-    computes it. Below tol ~ 1e-16, where 1 - tol rounds to 1, the search
-    runs on the upper tail pdtrc itself."""
+def _poisson_window(mu: float, tol: float, max_terms: float) -> tuple[int, np.ndarray, float]:
+    """(lo, w, omitted): the shortest window lo..hi that leaves at most tol/2
+    of the Poisson(mu) mass at each end, its weights, and the exact omitted
+    mass pdtr(lo - 1, mu) + pdtrc(hi, mu).
+
+    The ends start from the continuous inverses of the tails, pdtrik and
+    gdtrib (pdtrc(k, mu) = gdtr(1, k + 1, mu)), and step until minimal. The
+    weights follow the ratio mu / k outward from the mode, scaled to the mass
+    1 - omitted (exp(k ln mu - ln k! - mu) is 1.5e-10 off by mu = 4e4). More
+    than max_terms indices raise NonConvergenceError naming the window length.
+    """
     if mu == 0.0:
-        return 0
-    q = 1.0 - tol
-    if q < 1.0:
-        J = math.ceil(sc.pdtrik(q, mu))
-        if J > 0 and sc.pdtr(J - 1, mu) >= q:
-            J -= 1
-    else:
-        J = math.ceil(sc.pdtrik(1.0 - 2.0 ** -52, mu))
-        while True:
-            ks = np.arange(J, 2 * J + 64)
-            met = sc.pdtrc(ks, mu) <= tol
-            if met.any():
-                J = int(ks[np.argmax(met)])
-                break
-            J = int(ks[-1]) + 1
-    if J + 1 > max_terms:
+        return 0, np.ones(1), 0.0
+    half = tol / 2.0
+    lo = 0
+    if sc.pdtr(0, mu) <= half:  # else no index can be cut below
+        lo = math.floor(sc.pdtrik(half, mu)) + 1
+        while sc.pdtr(lo - 1, mu) > half:
+            lo -= 1
+        while sc.pdtr(lo, mu) <= half:
+            lo += 1
+    hi = max(lo, math.ceil(sc.gdtrib(1.0, half, mu) - 1.0))
+    while sc.pdtrc(hi, mu) > half:
+        hi += 1
+    while hi > lo and sc.pdtrc(hi - 1, mu) <= half:
+        hi -= 1
+    if hi - lo + 1 > max_terms:
         raise NonConvergenceError(
-            f"Poisson truncation needs {J + 1} terms > max_terms={max_terms}")
-    return J
-
-
-def _poisson_pmf(J: int, mu: float) -> np.ndarray:
-    """Poisson(mu) probabilities of 0..J, formed as scipy.stats.poisson.pmf
-    forms them."""
-    k = np.arange(J + 1)
-    return np.exp(sc.xlogy(k, mu) - sc.gammaln(k + 1) - mu)
+            f"Poisson window needs {hi - lo + 1} terms > max_terms={max_terms}",
+            max_terms=hi - lo + 1)
+    omitted = (sc.pdtr(lo - 1, mu) if lo > 0 else 0.0) + sc.pdtrc(hi, mu)
+    step = np.log(mu / np.arange(lo + 1, hi + 1))  # ln w_k - ln w_{k-1}
+    m = min(max(math.floor(mu), lo), hi) - lo  # the mode's place in the window
+    w = np.exp(np.concatenate((-np.cumsum(step[:m][::-1])[::-1], [0.0],
+                               np.cumsum(step[m:]))))
+    return lo, w * ((1.0 - omitted) / w.sum()), float(omitted)
 
 
 def log_bessel_i(nu: float, x: float) -> float:

@@ -29,6 +29,32 @@ class TestProbNeg:
         assert code == 0
         assert round(json.loads(out)["probability"], 4) == 0.2670
 
+    def test_abs_tol_flag(self, capsys):
+        argv = ["prob-neg", "--diff", "--r", "2", "--lambda1", "5", "--lambda2", "3"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        tight = json.loads(out)
+        code, out, _ = run(capsys, *argv, "--abs-tol", "1e-4")
+        assert code == 0
+        loose = json.loads(out)
+        assert loose["tail_bound"] <= 0.5e-4
+        assert loose["terms_used"] < tight["terms_used"]
+        assert loose["probability"] == pytest.approx(tight["probability"], abs=1e-4)
+
+    def test_budget_error_names_max_terms(self, capsys):
+        # at rho = 0.999999 the Poisson window of lambda_minus / 2 = 10^6 holds
+        # about 14,600 indices, more than the default budget
+        argv = ["prob-neg", "--product", "--mu-x", "1", "--mu-y", "-1",
+                "--rho", "0.999999"]
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == ""
+        need = int(err.split("--max-terms ")[1].split()[0])
+        code, out, _ = run(capsys, *argv, "--max-terms", str(need))
+        assert code == 0
+        # 40-digit conditional-normal integral (scripts/generate_oracle_values.py)
+        assert json.loads(out)["probability"] == pytest.approx(
+            0.682689492137085897170465091264, abs=1e-11)
+
 
 class TestPdf:
     def test_singular_point_flagged(self, capsys):
@@ -158,10 +184,3 @@ class TestExitCodes:
             run(capsys, "pdf", "--product", "--diff", "--r", "1",
                 "--grid", "0:1:2")
         assert exc.value.code == 2
-
-    def test_env_var_tolerance(self, capsys, monkeypatch):
-        monkeypatch.setenv("NCX2DIFF_ABS_TOL", "1e-4")
-        code, out, _ = run(capsys, "prob-neg", "--diff", "--r", "2",
-                           "--lambda1", "5", "--lambda2", "3")
-        assert code == 0
-        assert json.loads(out)["tail_bound"] <= 1e-4
