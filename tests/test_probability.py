@@ -4,6 +4,7 @@ published table, closed-form reductions, and structural identities."""
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -104,6 +105,42 @@ class TestTruncationCertificate:
                                       SeriesControl(abs_tol=1e-13))
         assert loose.terms_used < tight.terms_used
         assert loose.probability == pytest.approx(tight.probability, abs=1e-4)
+
+    @pytest.mark.parametrize("tol", [1e-12, 2.5e-13])
+    def test_poisson_cut_and_weights_match_scipy_stats(self, tol):
+        # each end of the window is the minimal cut by scipy.stats.poisson's
+        # own tails, and the weights are its pmf; the pmf formula
+        # exp(k ln mu - ln k! - mu) is itself ~7e-11 off by mu = 2e4
+        from scipy.stats import poisson
+        # the last eight are means at which the ceiling of the continuous
+        # inverse pdtrik overshoots by one (four at each tol); at
+        # mu = 5684.02... poisson.isf(1.25e-13) is one below the cut its own
+        # sf gives
+        mus = np.concatenate([np.geomspace(1e-3, 2e4, 300),
+                              np.random.default_rng(3).uniform(1e-3, 2e4, 60),
+                              [0.19630729554191104, 1862.912326667865,
+                               9373.416561045291, 19202.66098663789,
+                               0.05389611198362863, 1417.1116371267065,
+                               6290.955604954618, 19086.79595642581]])
+        half = tol / 2
+        for mu in mus:
+            lo, w, _ = _poisson_window(mu, tol, 10 ** 6)
+            hi = lo + w.size - 1
+            assert poisson.sf(hi, mu) <= half < poisson.sf(hi - 1, mu), mu
+            assert poisson.cdf(lo - 1, mu) <= half < poisson.cdf(lo, mu), mu
+            assert lo == int(poisson.ppf(half, mu)), mu
+            np.testing.assert_allclose(w, poisson.pmf(range(lo, hi + 1), mu),
+                                       rtol=1e-10, err_msg=str(mu))
+
+
+def test_poisson_cut_below_double_resolution():
+    # 1 - tol/2 rounds to 1: the upper end is the smallest hi whose tail
+    # pdtrc is at most tol/2
+    for mu in (0.5, 5.0, 60.0, 1e4):
+        for tol in (1e-17, 1e-24, 1e-200):
+            lo, w, _ = _poisson_window(mu, tol, 10 ** 6)
+            hi = lo + w.size - 1
+            assert sc.pdtrc(hi, mu) <= tol / 2 < sc.pdtrc(hi - 1, mu)
 
 
 # Poisson(mu) weights, (k, w_k) at nine indices per mean: 40-digit mpmath
