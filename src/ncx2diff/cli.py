@@ -2,7 +2,8 @@
 probabilities, sampling, the published probability table, the Stein harness,
 and the deterministic self-test.
 
-Exit codes: 0 success, 1 self-test failure, 2 flag errors (argparse),
+Exit codes: 0 success, 1 self-test failure, 2 flag errors (argparse) and
+values outside an evaluator's domain (DomainError, UnsupportedParameterError),
 3 numerical non-convergence; its message names a --max-terms that suffices
 where the evaluator knows one.
 """
@@ -17,8 +18,8 @@ import sys
 import numpy as np
 
 from . import density, moments, probability, sampling, stein
-from .errors import (InversionAccuracyError, NonConvergenceError,
-                     SingularPointError)
+from .errors import (DomainError, InversionAccuracyError, NonConvergenceError,
+                     SingularPointError, UnsupportedParameterError)
 from .params import ChiSqDiffParams, ProductNormalParams, to_chisq_diff
 from .selftest import report_to_json, run_selftest
 from .specfun import SeriesControl
@@ -117,11 +118,7 @@ def _cmd_pdf(args, parser):
 
 def _cmd_cf(args, parser):
     p = _params(args, parser)
-    if isinstance(p, ChiSqDiffParams):
-        cf = lambda t: density.char_fn_diff(t, p)
-    else:
-        cf = lambda t: density.char_fn_sum(t, p)
-    rows = [(float(t), (v := cf(float(t))).real, v.imag)
+    rows = [(float(t), (v := density.char_fn_sum(float(t), p)).real, v.imag)
             for t in _grid(args.grid)]
     _emit_rows(rows, ["t", "re", "im"], args)
 
@@ -130,10 +127,7 @@ def _cmd_moments(args, parser, cumulants_only=False):
     p = _params(args, parser)
     if args.order < 4 or args.order > 20:
         parser.error("--order must be in 4..20")
-    if isinstance(p, ChiSqDiffParams):
-        ms = moments.diff_moment_set(p, args.order)
-    else:
-        ms = moments.sum_moment_set(p, args.order)
+    ms = moments.sum_moment_set(p, args.order)
     if cumulants_only:
         _emit_obj({"cumulants": list(ms.cumulants)}, args)
     else:
@@ -141,12 +135,7 @@ def _cmd_moments(args, parser, cumulants_only=False):
 
 
 def _cmd_prob_neg(args, parser):
-    p = _params(args, parser)
-    ctrl = _ctrl(args)
-    if isinstance(p, ChiSqDiffParams):
-        res = probability.prob_nonpositive_diff(p, ctrl)
-    else:
-        res = probability.prob_nonpositive_sum(p, ctrl)
+    res = probability.prob_nonpositive_sum(_params(args, parser), _ctrl(args))
     _emit_obj(res.to_dict(), args)
 
 
@@ -154,9 +143,9 @@ def _cmd_sample(args, parser):
     p = _params(args, parser)
     if args.out is None:
         parser.error("sample requires --out (CSV path; JSON sidecar added)")
-    if isinstance(p, ChiSqDiffParams):
-        batch = sampling.sample_diff(p, args.count, args.seed)
-    elif args.route == "definitional":
+    if args.route == "definitional":
+        if args.diff:
+            parser.error("--route definitional needs --product")
         batch = sampling.sample_product_definitional(p, args.count, args.seed)
     else:
         batch = sampling.sample_sum_via_representation(p, args.count, args.seed)
@@ -194,14 +183,12 @@ def _cmd_table1(args, parser):
 
 
 def _cmd_stein_check(args, parser):
-    p = _params(args, parser)
-    if not isinstance(p, ChiSqDiffParams):
-        p = to_chisq_diff(p)
-        if p.scale_plus != p.scale_minus:
-            parser.error("stein-check needs the --diff parameterisation "
-                         "(equal chi-square scales)")
-        p = ChiSqDiffParams(p.r, p.lambda_plus, p.lambda_minus)
-    rows = stein.stein_report(p, operator=args.operator, method=args.method,
+    rep = to_chisq_diff(_params(args, parser))
+    if rep.scale_plus != rep.scale_minus:
+        parser.error("stein-check needs the --diff parameterisation "
+                     "(equal chi-square scales)")
+    q = ChiSqDiffParams(rep.r, rep.lambda_plus, rep.lambda_minus)
+    rows = stein.stein_report(q, operator=args.operator, method=args.method,
                               count=args.count, seed=args.seed)
     _emit_obj(rows, args)
 
@@ -317,7 +304,8 @@ def main(argv=None) -> int:
             _cmd_stein_check(args, parser)
         elif args.verb == "selftest":
             return _cmd_selftest(args, parser)
-    except argparse.ArgumentTypeError as exc:
+    except (argparse.ArgumentTypeError, DomainError,
+            UnsupportedParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NonConvergenceError, InversionAccuracyError) as exc:

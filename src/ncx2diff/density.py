@@ -315,9 +315,9 @@ def _char_fn_sum_direct(t: float, p: ProductNormalParams, n: int) -> complex:
     return d ** (-n / 2.0) * cmath.exp(num / (2.0 * d))
 
 
-def char_fn_sum(t: float, p: ProductNormalParams) -> complex:
-    """CF of S_n via the noncentral chi-square factorisation (valid for all rho,
-    including the degenerate rho = +-1)."""
+def char_fn_sum(t: float, p: ProductNormalParams | ChiSqDiffParams) -> complex:
+    """CF of S_n, or of T, via the noncentral chi-square factorisation of the
+    representation (valid for all rho, including the degenerate rho = +-1)."""
     rep = to_chisq_diff(p)
     out = cmath.exp(1j * rep.shift * t)
     if rep.scale_plus > 0:
@@ -334,9 +334,8 @@ def char_fn_sum_direct(t: float, p: ProductNormalParams) -> complex:
     return _char_fn_sum_direct(t, p, p.n)
 
 
-def char_fn_diff(t: float, q: ChiSqDiffParams) -> complex:
-    """CF of T = V1 - V2."""
-    return char_fn_ncx2(t, q.r, q.lambda1) * char_fn_ncx2(-t, q.r, q.lambda2)
+# CF of T = V1 - V2: the representation at unit scales
+char_fn_diff = char_fn_sum
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 """Moments and cumulants of the noncentral chi-square difference and of sums of
 products of correlated normals.
 
-Raw moments of the difference T = V1 - V2, and of S_n = c1 V1 - c2 V2 + shift
-through its chi-square representation, are alternating binomial sums of
-noncentral chi-square moments; both are summed exactly in rational arithmetic
-and rounded once. Cumulants are available in closed form and are used for the
-central moments.
+Every function reads only the chi-square representation c1 V1 - c2 V2 + shift
+(params.to_chisq_diff), so each serves S_n and, at c1 = c2 = 1 with no shift,
+the difference T = V1 - V2; the diff_* names are the same functions. Raw
+moments are alternating binomial sums of noncentral chi-square moments, summed
+exactly in rational arithmetic and rounded once. Cumulants are available in
+closed form and are used for the central moments.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from fractions import Fraction
 from scipy import special as sc
 
 from .errors import DomainError
-from .params import ChiSqDiffParams, ProductNormalParams, to_chisq_diff
+from .params import (ChiSqDiffParams, ChiSqDiffRepr, ProductNormalParams,
+                     to_chisq_diff)
 from .specfun import log_kummer_m
 
 __all__ = [
@@ -112,11 +114,9 @@ def _ncx2_moments_exact(kmax: int, r: float, lam: float) -> list:
     return out
 
 
-def _diff_moments(kmax: int, r: float, lam1: float, lam2: float,
-                  c1: float = 1.0, c2: float = 1.0, shift: float = 0.0) -> list:
-    """E[X^1], ..., E[X^kmax] for X = c1 V1 - c2 V2 + shift, V1 and V2
-    independent chi'^2_r(lam1) and chi'^2_r(lam2), from one pair of exact
-    ncx2 moment lists.
+def _diff_moments(kmax: int, q: ChiSqDiffRepr) -> list:
+    """E[X^1], ..., E[X^kmax] for X = c1 V1 - c2 V2 + shift, the
+    representation q, from one pair of exact ncx2 moment lists.
 
     E[(c1 V1 - c2 V2)^k] = sum_{j=0}^{k} C(k,j) (-1)^{k-j} E[(c1 V1)^j]
     E[(c2 V2)^{k-j}] cancels badly when the two sides nearly balance (odd
@@ -124,15 +124,15 @@ def _diff_moments(kmax: int, r: float, lam1: float, lam2: float,
     shift after it, is taken in exact rational arithmetic of the binary floats
     and rounded once.
     """
-    m1 = _ncx2_moments_exact(kmax, r, lam1)
-    m2 = _ncx2_moments_exact(kmax, r, lam2)
-    m1 = [Fraction(c1) ** j * m for j, m in enumerate(m1)]
-    m2 = [Fraction(c2) ** j * m for j, m in enumerate(m2)]
+    m1 = _ncx2_moments_exact(kmax, q.r, q.lambda_plus)
+    m2 = _ncx2_moments_exact(kmax, q.r, q.lambda_minus)
+    m1 = [Fraction(q.scale_plus) ** j * m for j, m in enumerate(m1)]
+    m2 = [Fraction(q.scale_minus) ** j * m for j, m in enumerate(m2)]
     exact = [sum(math.comb(k, j) * (-1) ** (k - j) * m1[j] * m2[k - j]
                  for j in range(k + 1))
              for k in range(kmax + 1)]
-    if shift != 0.0:
-        d = Fraction(shift)
+    if q.shift != 0.0:
+        d = Fraction(q.shift)
         exact = [sum(math.comb(k, i) * d ** (k - i) * exact[i]
                      for i in range(k + 1))
                  for k in range(kmax + 1)]
@@ -143,28 +143,6 @@ def _diff_moments(kmax: int, r: float, lam1: float, lam2: float,
         except OverflowError:
             out.append(math.inf if e > 0 else -math.inf)
     return out
-
-
-def diff_moment(k: int, params: ChiSqDiffParams) -> float:
-    """Raw moment E[T^k] of T = V1 - V2:
-
-    E[T^k] = sum_{j=0}^{k} C(k,j) (-1)^{k-j} E[V1^j] E[V2^{k-j}],
-    summed exactly (see _diff_moments).
-    """
-    _check_order(k)
-    if k == 0:
-        return 1.0
-    return _diff_moments(k, params.r, params.lambda1, params.lambda2)[-1]
-
-
-def diff_cumulant(k: int, params: ChiSqDiffParams) -> float:
-    """kappa_k(T) = 2^{k-1}(k-1)! [(r + k*lambda1) + (-1)^k (r + k*lambda2)]."""
-    _check_order(k)
-    if k == 0:
-        return 0.0
-    sign = 1.0 if k % 2 == 0 else -1.0
-    return (ncx2_cumulant(k, params.r, params.lambda1)
-            + sign * ncx2_cumulant(k, params.r, params.lambda2))
 
 
 def raw_from_cumulants(cums) -> list:
@@ -178,54 +156,25 @@ def raw_from_cumulants(cums) -> list:
     return mu[1:]
 
 
-def _moment_set(raw, cums) -> MomentSet:
-    central = raw_from_cumulants([0.0, *cums[1:]])
-    var = cums[1]
-    return MomentSet(
-        raw=tuple(raw),
-        central=tuple(central),
-        cumulants=tuple(cums),
-        mean=cums[0],
-        variance=var,
-        skewness=cums[2] / var ** 1.5,
-        excess_kurtosis=cums[3] / var ** 2,
-    )
-
-
-def diff_moment_set(params: ChiSqDiffParams, kmax: int = 4) -> MomentSet:
-    """Moments/cumulants of T = V1 - V2 up to order kmax (>= 4)."""
-    if kmax < 4:
-        raise DomainError("kmax must be at least 4 for the shape summaries")
-    raw = _diff_moments(kmax, params.r, params.lambda1, params.lambda2)
-    cums = [diff_cumulant(k, params) for k in range(1, kmax + 1)]
-    return _moment_set(raw, cums)
-
-
-def _sum_moments(kmax: int, params: ProductNormalParams) -> list:
-    q = to_chisq_diff(params)
-    return _diff_moments(kmax, q.r, q.lambda_plus, q.lambda_minus,
-                         q.scale_plus, q.scale_minus, q.shift)
-
-
-def sum_moment(k: int, params: ProductNormalParams) -> float:
-    """Raw moment E[S_n^k] of the sum of n products of correlated normals.
-
-    Expanded through the difference-of-chi-squares representation
-    S_n = c1*V1 - c2*V2 + shift (shift nonzero only for rho = +-1) and summed
-    exactly (see _diff_moments).
+def sum_moment(k: int, params: ProductNormalParams | ChiSqDiffParams) -> float:
+    """Raw moment E[S_n^k], or E[T^k], through the difference-of-chi-squares
+    representation c1*V1 - c2*V2 + shift (c1 = c2 = 1 and no shift for T),
+    summed exactly (see _diff_moments).
     """
     _check_order(k)
     if k == 0:
         return 1.0
-    return _sum_moments(k, params)[-1]
+    return _diff_moments(k, to_chisq_diff(params))[-1]
 
 
-def sum_cumulant(k: int, params: ProductNormalParams) -> float:
-    """kappa_k(S_n) via the representation: kappa_k(c1 V1 - c2 V2 + shift) =
-    c1^k kappa_k(V1) + (-c2)^k kappa_k(V2), plus shift at k = 1.
+def sum_cumulant(k: int, params: ProductNormalParams | ChiSqDiffParams) -> float:
+    """kappa_k(S_n), or kappa_k(T), via the representation:
+    kappa_k(c1 V1 - c2 V2 + shift) = c1^k kappa_k(V1) + (-c2)^k kappa_k(V2),
+    plus shift at k = 1.
 
-    For |rho| < 1 this equals
-    (s^k/2)(k-1)! [(1+rho)^k (n + k*lam+) + (-1)^k (1-rho)^k (n + k*lam-)].
+    For S_n with |rho| < 1 this equals
+    (s^k/2)(k-1)! [(1+rho)^k (n + k*lam+) + (-1)^k (1-rho)^k (n + k*lam-)];
+    for T it is 2^{k-1}(k-1)! [(r + k*lambda1) + (-1)^k (r + k*lambda2)].
     """
     _check_order(k)
     if k == 0:
@@ -238,10 +187,26 @@ def sum_cumulant(k: int, params: ProductNormalParams) -> float:
     return out
 
 
-def sum_moment_set(params: ProductNormalParams, kmax: int = 4) -> MomentSet:
-    """Moments/cumulants of S_n up to order kmax (>= 4)."""
+def sum_moment_set(params: ProductNormalParams | ChiSqDiffParams,
+                   kmax: int = 4) -> MomentSet:
+    """Moments/cumulants of S_n, or of T, up to order kmax (>= 4)."""
     if kmax < 4:
         raise DomainError("kmax must be at least 4 for the shape summaries")
-    raw = _sum_moments(kmax, params)
+    raw = _diff_moments(kmax, to_chisq_diff(params))
     cums = [sum_cumulant(k, params) for k in range(1, kmax + 1)]
-    return _moment_set(raw, cums)
+    var = cums[1]
+    return MomentSet(
+        raw=tuple(raw),
+        central=tuple(raw_from_cumulants([0.0, *cums[1:]])),
+        cumulants=tuple(cums),
+        mean=cums[0],
+        variance=var,
+        skewness=cums[2] / var ** 1.5,
+        excess_kurtosis=cums[3] / var ** 2,
+    )
+
+
+# T = V1 - V2 is the representation at unit scales: one implementation each
+diff_moment = sum_moment
+diff_cumulant = sum_cumulant
+diff_moment_set = sum_moment_set

@@ -105,6 +105,11 @@ class ChiSqDiffParams:
         if self.lambda1 < 0 or self.lambda2 < 0:
             raise DomainError("noncentralities must be nonnegative")
 
+    @cached_property
+    def chisq_diff(self) -> "ChiSqDiffRepr":
+        """T in the representation that S_n uses: unit scales, no shift."""
+        return ChiSqDiffRepr(1.0, 1.0, self.r, self.lambda1, self.lambda2)
+
     def swapped(self) -> "ChiSqDiffParams":
         return ChiSqDiffParams(self.r, self.lambda2, self.lambda1)
 
@@ -121,7 +126,8 @@ class ChiSqDiffParams:
 @dataclass(frozen=True)
 class ChiSqDiffRepr:
     """S_n =_d scale_plus*V1 - scale_minus*V2 + shift with V1 ~ chi'^2_r(lambda_plus),
-    V2 ~ chi'^2_r(lambda_minus) independent. shift is nonzero only for rho = +-1."""
+    V2 ~ chi'^2_r(lambda_minus) independent. shift is nonzero only for rho = +-1.
+    T = V1 - V2 is the case scale_plus = scale_minus = 1, shift = 0."""
 
     scale_plus: float
     scale_minus: float
@@ -134,8 +140,10 @@ class ChiSqDiffRepr:
         return asdict(self)
 
 
-def to_chisq_diff(p: ProductNormalParams) -> ChiSqDiffRepr:
-    """Exact difference-of-noncentral-chi-squares representation of S_n."""
+def to_chisq_diff(p: ProductNormalParams | ChiSqDiffParams) -> ChiSqDiffRepr:
+    """Exact difference-of-noncentral-chi-squares representation of S_n, or
+    of T = V1 - V2 (unit scales, no shift). Every evaluator that accepts
+    either parameter type reads only this."""
     return p.chisq_diff
 
 

@@ -1,6 +1,8 @@
 """Exact negativity probabilities P(S_n <= 0) and P(T <= 0) via the
 Poisson-weighted double series of regularized incomplete beta functions (the
-CDF of the doubly noncentral F ratio), with certified truncation bounds.
+CDF of the doubly noncentral F ratio), with certified truncation bounds. One
+function serves both laws through their chi-square representation;
+prob_nonpositive_diff is prob_nonpositive_sum.
 
 Every beta factor lies in [0, 1], so the truncation error of the double series
 is bounded by the Poisson mass it omits. Each index runs over the shortest
@@ -54,18 +56,17 @@ class NegativityResult:
         }
 
 
-def _beta_double_series(x: float, half_r1: float, half_r2: float,
-                        lam1: float, lam2: float,
+def _beta_double_series(x: float, half_r: float, lam1: float, lam2: float,
                         ctrl: SeriesControl) -> NegativityResult:
-    """sum_{j,k} pois(j; lam1/2) pois(k; lam2/2) I_x(half_r1 + j, half_r2 + k)
+    """sum_{j,k} pois(j; lam1/2) pois(k; lam2/2) I_x(half_r + j, half_r + k)
     over two Poisson windows, each omitting at most abs_tol/4."""
     lo1, wj, o1 = _poisson_window(lam1 / 2.0, ctrl.abs_tol / 4.0, ctrl.max_terms)
     lo2, wk, o2 = _poisson_window(lam2 / 2.0, ctrl.abs_tol / 4.0, ctrl.max_terms)
-    bk = half_r2 + lo2 + np.arange(wk.size)
+    bk = half_r + lo2 + np.arange(wk.size)
     # one betainc call per row j keeps memory at O(K); fsum over every
     # rectangle is exact, whatever the order
     total = math.fsum(chain.from_iterable(
-        (w * wk * sc.betainc(half_r1 + lo1 + j, bk, x)).tolist()
+        (w * wk * sc.betainc(half_r + lo1 + j, bk, x)).tolist()
         for j, w in enumerate(wj)))
     return NegativityResult(
         probability=min(max(total, 0.0), 1.0),
@@ -89,25 +90,27 @@ def _ncx2_cdf_mixture(c: float, r: float, lam: float,
     )
 
 
-def prob_nonpositive_sum(p: ProductNormalParams,
+def prob_nonpositive_sum(p: ProductNormalParams | ChiSqDiffParams,
                          ctrl: SeriesControl = DEFAULT_CONTROL) -> NegativityResult:
-    """P(S_n <= 0) for the sum of n products of correlated normals.
+    """P(S_n <= 0), or P(T <= 0), from the representation
+    c1 V1 - c2 V2 + shift.
 
-    For |rho| < 1 this is the Poisson-weighted double series of
-    I_{(1-rho)/2}(n/2 + j, n/2 + k) over the two noncentrality mixtures.
-    For rho = +-1 the law is a shifted (possibly negated) scaled noncentral
+    With both scales positive this is the Poisson-weighted double series of
+    I_{c2/(c1+c2)}(r/2 + j, r/2 + k) over the two noncentrality mixtures: the
+    beta argument is (1 - rho)/2 for S_n and 1/2 for T. With one scale zero
+    (rho = +-1) the law is a shifted, possibly negated, scaled noncentral
     chi-square and the probability is its CDF/survival at the shift threshold.
     """
     q = to_chisq_diff(p)
-    if p.rho == 1.0:
-        # S = s V1 + shift with shift <= 0: P(S <= 0) = P(V1 <= -shift/s)
+    if q.scale_minus == 0.0:
+        # S = c1 V1 + shift with shift <= 0: P(S <= 0) = P(V1 <= -shift/c1)
         return _ncx2_cdf_mixture(-q.shift / q.scale_plus, q.r, q.lambda_plus, ctrl)
-    if p.rho == -1.0:
-        # S = -s V2 + shift with shift >= 0: P(S <= 0) = P(V2 >= shift/s)
+    if q.scale_plus == 0.0:
+        # S = -c2 V2 + shift with shift >= 0: P(S <= 0) = P(V2 >= shift/c2)
         res = _ncx2_cdf_mixture(q.shift / q.scale_minus, q.r, q.lambda_minus, ctrl)
         return NegativityResult(1.0 - res.probability, res.terms_used, res.tail_bound)
-    return _beta_double_series((1.0 - p.rho) / 2.0, p.n / 2.0, p.n / 2.0,
-                               q.lambda_plus, q.lambda_minus, ctrl)
+    return _beta_double_series(q.scale_minus / (q.scale_plus + q.scale_minus),
+                               q.r / 2.0, q.lambda_plus, q.lambda_minus, ctrl)
 
 
 def prob_nonpositive_central(n: int, rho: float) -> float:
@@ -120,11 +123,8 @@ def prob_nonpositive_central(n: int, rho: float) -> float:
     return float(sc.betainc(n / 2.0, n / 2.0, (1.0 - rho) / 2.0))
 
 
-def prob_nonpositive_diff(q: ChiSqDiffParams,
-                          ctrl: SeriesControl = DEFAULT_CONTROL) -> NegativityResult:
-    """P(T <= 0) for T = V1 - V2: the double series at beta argument 1/2."""
-    return _beta_double_series(0.5, q.r / 2.0, q.r / 2.0,
-                               q.lambda1, q.lambda2, ctrl)
+# P(T <= 0) is the same function: T is the representation at unit scales
+prob_nonpositive_diff = prob_nonpositive_sum
 
 
 TABLE1_MU_PAIRS = ((0.0, 0.0), (1.0, -1.0), (2.0, -1.0), (2.0, -2.0),

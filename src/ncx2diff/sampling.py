@@ -105,20 +105,11 @@ def sample_ncx2(r: float, lam: float, count: int, seed: int) -> SampleBatch:
     return SampleBatch(out, seed, "ncx2", {"r": r, "lambda": lam})
 
 
-def sample_diff(q: ChiSqDiffParams, count: int, seed: int) -> SampleBatch:
-    """Draw T = V1 - V2 with independent noncentral chi-squares."""
-    def draw(rng, m):
-        v1 = _draw_ncx2(rng, q.r, q.lambda1, m)
-        v2 = _draw_ncx2(rng, q.r, q.lambda2, m)
-        return v1 - v2
-
-    return SampleBatch(_draws(count, seed, draw), seed, "representation", q.to_dict())
-
-
-def sample_sum_via_representation(p: ProductNormalParams, count: int,
-                                  seed: int) -> SampleBatch:
-    """Draw S_n through its difference-of-noncentral-chi-squares representation
-    scale_plus*V1 - scale_minus*V2 + shift (shift nonzero only at rho = +-1)."""
+def sample_sum_via_representation(p: ProductNormalParams | ChiSqDiffParams,
+                                  count: int, seed: int) -> SampleBatch:
+    """Draw S_n, or T, through the difference-of-noncentral-chi-squares
+    representation scale_plus*V1 - scale_minus*V2 + shift (unit scales and no
+    shift for T; shift nonzero only at rho = +-1 for S_n)."""
     q = to_chisq_diff(p)
 
     def draw(rng, m):
@@ -130,6 +121,11 @@ def sample_sum_via_representation(p: ProductNormalParams, count: int,
         return acc
 
     return SampleBatch(_draws(count, seed, draw), seed, "representation", p.to_dict())
+
+
+# T = V1 - V2 draws through the same representation: 0.0 + 1.0*V1 - 1.0*V2
+# is exact, so the stream is V1 - V2 bit for bit
+sample_diff = sample_sum_via_representation
 
 
 def ks_two_sample(a: SampleBatch, b: SampleBatch) -> tuple[float, float]:

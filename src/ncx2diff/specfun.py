@@ -40,8 +40,8 @@ class SeriesControl:
     max_terms: int = 10000
 
     def __post_init__(self):
-        if not self.abs_tol > 0:
-            raise DomainError("abs_tol must be positive")
+        if not 0 < self.abs_tol < 1:
+            raise DomainError(f"abs_tol must lie in (0, 1), got {self.abs_tol}")
         if self.max_terms < 1:
             raise DomainError("max_terms must be >= 1")
 

@@ -179,6 +179,25 @@ class TestExitCodes:
         code, _, err = run(capsys, "pdf", "--diff", "--r", "3", "--grid", "bad")
         assert code == 2 and "grid" in err
 
+    def test_domain_error_is_2(self, capsys, tmp_path):
+        out = str(tmp_path / "s.csv")
+        for argv in (["prob-neg", "--diff", "--r", "-1"],
+                     ["--abs-tol", "0", "prob-neg", "--diff", "--r", "2"],
+                     ["--abs-tol", "10", "prob-neg", "--diff", "--r", "2"],
+                     ["sample", "--diff", "--r", "2", "--count", "0",
+                      "--seed", "1", "--out", out],
+                     ["stein-check", "--diff", "--r", "2", "--lambda2", "1",
+                      "--operator", "a2", "--count", "100", "--seed", "1"]):
+            code, _, err = run(capsys, *argv)
+            assert code == 2 and err.startswith("error: "), argv
+
+    def test_definitional_route_needs_product(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "sample", "--diff", "--r", "2", "--count", "5",
+                "--seed", "1", "--route", "definitional",
+                "--out", str(tmp_path / "s.csv"))
+        assert exc.value.code == 2
+
     def test_both_parameterisations_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(capsys, "pdf", "--product", "--diff", "--r", "1",

@@ -6,9 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ncx2diff.density import char_fn_diff, char_fn_sum
 from ncx2diff.errors import DomainError, UnsupportedParameterError
-from ncx2diff.params import (ChiSqDiffParams, ProductNormalParams,
+from ncx2diff.moments import diff_moment, ncx2_moment, sum_moment
+from ncx2diff.params import (ChiSqDiffParams, ChiSqDiffRepr, ProductNormalParams,
                              from_chisq_diff, to_chisq_diff)
+from ncx2diff.probability import prob_nonpositive_diff, prob_nonpositive_sum
 
 
 class TestValidation:
@@ -85,6 +88,22 @@ class TestInverse:
         assert back.r == r
         assert back.lambda_plus == pytest.approx(lam1, abs=1e-9)
         assert back.lambda_minus == pytest.approx(lam2, abs=1e-9)
+
+    @settings(max_examples=40, deadline=None)
+    @given(r=st.integers(1, 8), lam1=st.floats(0.0, 12.0),
+           lam2=st.floats(0.0, 12.0), t=st.floats(-5.0, 5.0))
+    def test_evaluators_see_t_as_twice_s(self, r, lam1, lam2, t):
+        # T = 2 S_n for p = from_chisq_diff(q), evaluator by evaluator
+        q = ChiSqDiffParams(float(r), lam1, lam2)
+        p = from_chisq_diff(q)
+        assert to_chisq_diff(q) == ChiSqDiffRepr(1.0, 1.0, q.r, lam1, lam2, 0.0)
+        assert prob_nonpositive_sum(p).probability == pytest.approx(
+            prob_nonpositive_diff(q).probability, abs=1e-12)
+        for k in range(1, 7):
+            # relative to E[(V1 + V2)^k] >= E|T^k|: odd moments may vanish
+            scale = ncx2_moment(k, 2.0 * r, lam1 + lam2)
+            assert abs(2 ** k * sum_moment(k, p) - diff_moment(k, q)) <= 1e-12 * scale
+        assert abs(char_fn_sum(2.0 * t, p) - char_fn_diff(t, q)) <= 1e-12
 
     def test_non_integer_r_rejected(self):
         with pytest.raises(UnsupportedParameterError):

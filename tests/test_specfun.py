@@ -194,6 +194,13 @@ class TestSeriesControl:
         with pytest.raises(DomainError):
             SeriesControl(max_terms=0)
 
+    def test_abs_tol_below_one(self):
+        # at abs_tol >= 8 a Poisson window would invert a tail level >= 1
+        for tol in (1.0, 8.0, 10.0, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                SeriesControl(abs_tol=tol)
+        assert SeriesControl(abs_tol=0.5).abs_tol == 0.5
+
     def test_frozen(self):
         ctrl = SeriesControl()
         with pytest.raises(Exception):
