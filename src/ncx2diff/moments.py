@@ -5,15 +5,14 @@ Every function reads only the chi-square representation c1 V1 - c2 V2 + shift
 (params.to_chisq_diff), so each serves S_n and, at c1 = c2 = 1 with no shift,
 the difference T = V1 - V2; the diff_* names are the same functions. Raw
 moments are alternating binomial sums of noncentral chi-square moments, summed
-exactly in rational arithmetic and rounded once. Cumulants are available in
-closed form and are used for the central moments.
+exactly in scaled integers, with one correctly rounded division. Cumulants are
+available in closed form and are used for the central moments.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from scipy import special as sc
 
@@ -61,9 +60,15 @@ class MomentSet:
         }
 
 
-def _check_order(k: int):
-    if k < 0 or k != int(k):
+def _check_order(k) -> int:
+    """k as an int; DomainError unless it is a nonnegative integral number."""
+    try:
+        ok = k >= 0 and k == int(k)
+    except (TypeError, ValueError, OverflowError):  # a str, nan or inf
+        ok = False
+    if not ok:
         raise DomainError(f"moment order must be a nonnegative integer, got {k}")
+    return int(k)
 
 
 def log_ncx2_moment(k: int, r: float, lam: float) -> float:
@@ -72,7 +77,7 @@ def log_ncx2_moment(k: int, r: float, lam: float) -> float:
     E[V^k] = 2^k Gamma(r/2+k)/Gamma(r/2) M(-k, r/2, -lambda/2), rewritten via
     the Kummer transformation so every series term is positive.
     """
-    _check_order(k)
+    k = _check_order(k)
     if r <= 0:
         raise DomainError(f"r must be positive, got {r}")
     if lam < 0:
@@ -92,25 +97,35 @@ def ncx2_moment(k: int, r: float, lam: float) -> float:
 
 def ncx2_cumulant(k: int, r: float, lam: float) -> float:
     """kappa_k = 2^{k-1} (k-1)! (r + k*lambda) for V ~ chi'^2_r(lambda)."""
-    _check_order(k)
+    k = _check_order(k)
     if k == 0:
         return 0.0
     return 2.0 ** (k - 1) * math.factorial(k - 1) * (r + k * lam)
 
 
-def _ncx2_moments_exact(kmax: int, r: float, lam: float) -> list:
-    """E[V^0], ..., E[V^kmax] for V ~ chi'^2_r(lambda) as exact rationals of
-    the binary floats r and lam:
-    E[V^j] = 2^j sum_i C(j,i) (lam/2)^i (r/2 + i)_{j-i}, every term positive.
+def _dyadic(x: float) -> tuple:
+    """x = n / 2**e exactly, as the pair (n, e) with e >= 0."""
+    n, d = x.as_integer_ratio()
+    return n, d.bit_length() - 1
+
+
+def _scaled_ncx2_moments(kmax: int, c: tuple, r: tuple, lam: tuple,
+                         e: int) -> list:
+    """N_0, ..., N_kmax with E[(c V)^j] = N_j / 2^(e j) exactly, for
+    V ~ chi'^2_r(lambda), c, r and lam given as dyadic pairs (n, e):
+    E[(c V)^j] = sum_i C(j,i) (c lam)^i prod_{m=i}^{j-1} (c r + 2 c m), every
+    term positive and a product of j factors that are integers over 2^e.
     """
-    b, z = Fraction(r) / 2, Fraction(lam) / 2
+    u = c[0] * lam[0] << e - c[1] - lam[1]
+    v = c[0] * r[0] << e - c[1] - r[1]
+    w = c[0] << e - c[1] + 1
     out = []
     for j in range(kmax + 1):
-        total, rising = Fraction(0), Fraction(1)
-        for i in range(j, -1, -1):  # rising = (b + i)_{j-i}
-            total += math.comb(j, i) * z ** i * rising
-            rising *= b + i - 1
-        out.append(2 ** j * total)
+        total, rising = 0, 1
+        for i in range(j, -1, -1):  # rising = prod_{m=i}^{j-1} (v + m w)
+            total += math.comb(j, i) * u ** i * rising
+            rising *= v + (i - 1) * w
+        out.append(total)
     return out
 
 
@@ -120,28 +135,33 @@ def _diff_moments(kmax: int, q: ChiSqDiffRepr) -> list:
 
     E[(c1 V1 - c2 V2)^k] = sum_{j=0}^{k} C(k,j) (-1)^{k-j} E[(c1 V1)^j]
     E[(c2 V2)^{k-j}] cancels badly when the two sides nearly balance (odd
-    orders vanish for a law symmetric about 0), so each sum, and the binomial
-    shift after it, is taken in exact rational arithmetic of the binary floats
-    and rounded once.
+    orders vanish for a law symmetric about 0), so it is summed exactly, in
+    scaled integers, with one correctly rounded division. The scales, r,
+    the noncentralities and the shift are binary floats, so every quantity of
+    order k, the binomial shift included, is an integer over 2^(e k), e the
+    largest binary exponent of c lambda, c r and the shift; Fraction
+    arithmetic would round the same rational to the same float.
     """
-    m1 = _ncx2_moments_exact(kmax, q.r, q.lambda_plus)
-    m2 = _ncx2_moments_exact(kmax, q.r, q.lambda_minus)
-    m1 = [Fraction(q.scale_plus) ** j * m for j, m in enumerate(m1)]
-    m2 = [Fraction(q.scale_minus) ** j * m for j, m in enumerate(m2)]
+    r = _dyadic(q.r)
+    sides = [(_dyadic(c), _dyadic(lam)) for c, lam in
+             ((q.scale_plus, q.lambda_plus), (q.scale_minus, q.lambda_minus))]
+    d = _dyadic(q.shift)
+    e = max(d[1], *(c[1] + max(lam[1], r[1]) for c, lam in sides))
+    m1, m2 = (_scaled_ncx2_moments(kmax, c, r, lam, e) for c, lam in sides)
     exact = [sum(math.comb(k, j) * (-1) ** (k - j) * m1[j] * m2[k - j]
                  for j in range(k + 1))
              for k in range(kmax + 1)]
-    if q.shift != 0.0:
-        d = Fraction(q.shift)
-        exact = [sum(math.comb(k, i) * d ** (k - i) * exact[i]
+    if d[0]:
+        s = d[0] << e - d[1]
+        exact = [sum(math.comb(k, i) * s ** (k - i) * exact[i]
                      for i in range(k + 1))
                  for k in range(kmax + 1)]
     out = []
-    for e in exact[1:]:
+    for k in range(1, kmax + 1):
         try:
-            out.append(float(e))
+            out.append(exact[k] / (1 << e * k))
         except OverflowError:
-            out.append(math.inf if e > 0 else -math.inf)
+            out.append(math.inf if exact[k] > 0 else -math.inf)
     return out
 
 
@@ -161,7 +181,7 @@ def sum_moment(k: int, params: ProductNormalParams | ChiSqDiffParams) -> float:
     representation c1*V1 - c2*V2 + shift (c1 = c2 = 1 and no shift for T),
     summed exactly (see _diff_moments).
     """
-    _check_order(k)
+    k = _check_order(k)
     if k == 0:
         return 1.0
     return _diff_moments(k, to_chisq_diff(params))[-1]
@@ -176,7 +196,7 @@ def sum_cumulant(k: int, params: ProductNormalParams | ChiSqDiffParams) -> float
     (s^k/2)(k-1)! [(1+rho)^k (n + k*lam+) + (-1)^k (1-rho)^k (n + k*lam-)];
     for T it is 2^{k-1}(k-1)! [(r + k*lambda1) + (-1)^k (r + k*lambda2)].
     """
-    _check_order(k)
+    k = _check_order(k)
     if k == 0:
         return 0.0
     q = to_chisq_diff(params)
@@ -190,6 +210,7 @@ def sum_cumulant(k: int, params: ProductNormalParams | ChiSqDiffParams) -> float
 def sum_moment_set(params: ProductNormalParams | ChiSqDiffParams,
                    kmax: int = 4) -> MomentSet:
     """Moments/cumulants of S_n, or of T, up to order kmax (>= 4)."""
+    kmax = _check_order(kmax)
     if kmax < 4:
         raise DomainError("kmax must be at least 4 for the shape summaries")
     raw = _diff_moments(kmax, to_chisq_diff(params))

@@ -73,6 +73,7 @@ class ProductNormalParams:
             lambda_plus=lam_plus,
             lambda_minus=lam_minus,
             shift=0.0,
+            beta_arg=(1.0 - self.rho) / 2.0,
         )
 
     def to_dict(self) -> dict:
@@ -127,7 +128,12 @@ class ChiSqDiffParams:
 class ChiSqDiffRepr:
     """S_n =_d scale_plus*V1 - scale_minus*V2 + shift with V1 ~ chi'^2_r(lambda_plus),
     V2 ~ chi'^2_r(lambda_minus) independent. shift is nonzero only for rho = +-1.
-    T = V1 - V2 is the case scale_plus = scale_minus = 1, shift = 0."""
+    T = V1 - V2 is the case scale_plus = scale_minus = 1, shift = 0.
+
+    beta_arg is scale_minus / (scale_plus + scale_minus), the argument of the
+    incomplete-beta series for P(S_n <= 0), kept exact: (1 - rho)/2 for S_n,
+    1/2 for T. The rounded scales can put their own ratio 2 ulps off it. When
+    not given it is taken from the scales."""
 
     scale_plus: float
     scale_minus: float
@@ -135,6 +141,12 @@ class ChiSqDiffRepr:
     lambda_plus: float
     lambda_minus: float
     shift: float = 0.0
+    beta_arg: float | None = None
+
+    def __post_init__(self):
+        if self.beta_arg is None:
+            object.__setattr__(self, "beta_arg", self.scale_minus
+                               / (self.scale_plus + self.scale_minus))
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -97,7 +97,8 @@ def prob_nonpositive_sum(p: ProductNormalParams | ChiSqDiffParams,
 
     With both scales positive this is the Poisson-weighted double series of
     I_{c2/(c1+c2)}(r/2 + j, r/2 + k) over the two noncentrality mixtures: the
-    beta argument is (1 - rho)/2 for S_n and 1/2 for T. With one scale zero
+    beta argument is the representation's exact beta_arg, (1 - rho)/2 for S_n
+    and 1/2 for T. With one scale zero
     (rho = +-1) the law is a shifted, possibly negated, scaled noncentral
     chi-square and the probability is its CDF/survival at the shift threshold.
     """
@@ -109,8 +110,8 @@ def prob_nonpositive_sum(p: ProductNormalParams | ChiSqDiffParams,
         # S = -c2 V2 + shift with shift >= 0: P(S <= 0) = P(V2 >= shift/c2)
         res = _ncx2_cdf_mixture(q.shift / q.scale_minus, q.r, q.lambda_minus, ctrl)
         return NegativityResult(1.0 - res.probability, res.terms_used, res.tail_bound)
-    return _beta_double_series(q.scale_minus / (q.scale_plus + q.scale_minus),
-                               q.r / 2.0, q.lambda_plus, q.lambda_minus, ctrl)
+    return _beta_double_series(q.beta_arg, q.r / 2.0, q.lambda_plus,
+                               q.lambda_minus, ctrl)
 
 
 def prob_nonpositive_central(n: int, rho: float) -> float:

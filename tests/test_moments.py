@@ -2,6 +2,7 @@
 high-precision references, and CF log-derivatives."""
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,11 +10,65 @@ from hypothesis import strategies as st
 
 from ncx2diff.density import char_fn_diff, char_fn_sum
 from ncx2diff.errors import DomainError
-from ncx2diff.moments import (diff_cumulant, diff_moment, diff_moment_set,
-                              ncx2_cumulant, ncx2_moment, raw_from_cumulants,
-                              sum_cumulant, sum_moment, sum_moment_set)
-from ncx2diff.params import ChiSqDiffParams, ProductNormalParams
+from ncx2diff.moments import (_diff_moments, diff_cumulant, diff_moment,
+                              diff_moment_set, ncx2_cumulant, ncx2_moment,
+                              raw_from_cumulants, sum_cumulant, sum_moment,
+                              sum_moment_set)
+from ncx2diff.params import ChiSqDiffParams, ProductNormalParams, to_chisq_diff
 from ncx2diff.selftest import finite_diff_cumulant
+
+
+# The exact moments in Fraction arithmetic, the oracle of the scaled-integer
+# route: both round the same rational by one int/int division, so they must
+# agree to the bit.
+def _ncx2_moments_fraction(kmax: int, r: float, lam: float) -> list:
+    """E[V^0], ..., E[V^kmax] for V ~ chi'^2_r(lambda) as exact rationals of
+    the binary floats r and lam:
+    E[V^j] = 2^j sum_i C(j,i) (lam/2)^i (r/2 + i)_{j-i}, every term positive.
+    """
+    b, z = Fraction(r) / 2, Fraction(lam) / 2
+    out = []
+    for j in range(kmax + 1):
+        total, rising = Fraction(0), Fraction(1)
+        for i in range(j, -1, -1):  # rising = (b + i)_{j-i}
+            total += math.comb(j, i) * z ** i * rising
+            rising *= b + i - 1
+        out.append(2 ** j * total)
+    return out
+
+
+def _diff_moments_fraction(kmax: int, q) -> list:
+    """E[X^1], ..., E[X^kmax] for X = c1 V1 - c2 V2 + shift, the
+    representation q, summed in exact rational arithmetic and rounded once."""
+    m1 = _ncx2_moments_fraction(kmax, q.r, q.lambda_plus)
+    m2 = _ncx2_moments_fraction(kmax, q.r, q.lambda_minus)
+    m1 = [Fraction(q.scale_plus) ** j * m for j, m in enumerate(m1)]
+    m2 = [Fraction(q.scale_minus) ** j * m for j, m in enumerate(m2)]
+    exact = [sum(math.comb(k, j) * (-1) ** (k - j) * m1[j] * m2[k - j]
+                 for j in range(k + 1))
+             for k in range(kmax + 1)]
+    if q.shift != 0.0:
+        d = Fraction(q.shift)
+        exact = [sum(math.comb(k, i) * d ** (k - i) * exact[i]
+                     for i in range(k + 1))
+                 for k in range(kmax + 1)]
+    out = []
+    for e in exact[1:]:
+        try:
+            out.append(float(e))
+        except OverflowError:
+            out.append(math.inf if e > 0 else -math.inf)
+    return out
+
+
+_T_PARAMS = st.builds(ChiSqDiffParams, r=st.floats(1e-3, 50.0),
+                      lambda1=st.floats(0.0, 1e3), lambda2=st.floats(0.0, 1e3))
+_S_PARAMS = st.builds(
+    ProductNormalParams, mu_x=st.floats(-5.0, 5.0), mu_y=st.floats(-5.0, 5.0),
+    sigma_x=st.floats(math.exp(-2.0), math.exp(2.0)),
+    sigma_y=st.floats(math.exp(-2.0), math.exp(2.0)),
+    rho=st.one_of(st.sampled_from([-1.0, 1.0]), st.floats(-0.999, 0.999)),
+    n=st.integers(1, 16))
 
 
 class TestNcx2Moments:
@@ -43,6 +98,52 @@ class TestNcx2Moments:
             ncx2_moment(-1, 2.0, 1.0)
         with pytest.raises(DomainError):
             ncx2_moment(2, 0.0, 1.0)
+
+
+class TestExactSum:
+    @settings(max_examples=40, deadline=None)
+    @given(params=st.one_of(_T_PARAMS, _S_PARAMS), kmax=st.integers(1, 60))
+    @example(params=ChiSqDiffParams(1e-300, 1e-300, 1e-300), kmax=20)
+    @example(params=ChiSqDiffParams(3.0, 500.0, 1.0), kmax=200)
+    # rho = -1 and rho = 1 with sigma_x sigma_y != 1: one scale zero and a
+    # nonzero shift
+    @example(params=ProductNormalParams(0.7, 0.2, 1.5, 0.5, -1.0, 3), kmax=40)
+    @example(params=ProductNormalParams(-1.3, 0.4, 0.3, 2.9, 1.0, 2), kmax=40)
+    def test_bit_identical_to_fraction(self, params, kmax):
+        q = to_chisq_diff(params)
+        assert repr(_diff_moments(kmax, q)) == repr(_diff_moments_fraction(kmax, q))
+
+    def test_subnormal_noncentrality(self):
+        # lambda2 = 5e-324 = 2^-1074 puts the denominator of lambda2/2 at 2^1075
+        q = to_chisq_diff(ChiSqDiffParams(3.0, 0.0, 5e-324))
+        got = _diff_moments(60, q)
+        assert repr(got) == repr(_diff_moments_fraction(60, q))
+        assert got[0] == -5e-324
+
+    def test_overflow_gives_signed_infinity(self):
+        # E[T^k] overflows a float, with the sign of (-1)^k
+        q = ChiSqDiffParams(3.0, 0.0, 1e5)
+        assert sum_moment(100, q) == math.inf
+        assert sum_moment(101, q) == -math.inf
+        assert math.isfinite(sum_moment(60, q))
+
+
+class TestOrderValidation:
+    def test_integral_float_order_is_its_int(self):
+        q = ChiSqDiffParams(3.0, 1.2, 0.4)
+        p = ProductNormalParams(0.5, -0.3, 1.2, 0.8, 0.4, 3)
+        assert sum_moment(3.0, p) == sum_moment(3, p)
+        assert sum_cumulant(3.0, p) == sum_cumulant(3, p)
+        assert ncx2_cumulant(3.0, 2.0, 1.0) == ncx2_cumulant(3, 2.0, 1.0)
+        assert sum_moment_set(q, 20.0) == sum_moment_set(q, 20)
+
+    @pytest.mark.parametrize("k", [4.5, -1, -2.0, math.nan, math.inf, "4"])
+    def test_non_integral_order_raises(self, k):
+        q = ChiSqDiffParams(3.0, 1.2, 0.4)
+        with pytest.raises(DomainError):
+            sum_moment(k, q)
+        with pytest.raises(DomainError):
+            sum_moment_set(q, k)
 
 
 class TestDiffMoments:

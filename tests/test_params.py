@@ -62,6 +62,17 @@ class TestRepresentation:
         assert q.lambda_minus == pytest.approx((a - b) ** 2 / 4)
         assert q.shift == pytest.approx((1.5 * 0.5 / 4) * (a + b) ** 2)
 
+    @settings(max_examples=60, deadline=None)
+    @given(sx=st.floats(math.exp(-2.0), math.exp(2.0)),
+           sy=st.floats(math.exp(-2.0), math.exp(2.0)),
+           rho=st.floats(-1.0, 1.0))
+    def test_beta_arg_exact(self, sx, sy, rho):
+        # c2/(c1 + c2) is kept as (1 - rho)/2, not taken from rounded scales;
+        # at rho = +-1 that is 0 or 1
+        q = to_chisq_diff(ProductNormalParams(0.3, -0.2, sx, sy, rho, 2))
+        assert q.beta_arg == (1.0 - rho) / 2.0
+        assert to_chisq_diff(ChiSqDiffParams(3.0, 1.0, 2.0)).beta_arg == 0.5
+
     def test_mean_identity(self):
         # E[S_n] = scale+ (n + lam+) - scale- (n + lam-) + shift
         # must equal n (muX muY + rho sX sY) for every rho

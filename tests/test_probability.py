@@ -15,6 +15,7 @@ from ncx2diff.errors import DomainError, NonConvergenceError
 from ncx2diff.params import ChiSqDiffParams, ProductNormalParams, to_chisq_diff
 from ncx2diff.probability import (TABLE1_FLAGGED, TABLE1_PAPER_VALUES,
                                   TABLE1_PRINTED_SLIPS, TABLE1_RHOS,
+                                  _beta_double_series,
                                   prob_nonpositive_central,
                                   prob_nonpositive_diff, prob_nonpositive_sum,
                                   table1, table1_cell_ok, table1_summary)
@@ -61,6 +62,19 @@ class TestClosedForms:
         s = prob_nonpositive_sum(
             ProductNormalParams(1.0, 1.0, rho=0.0, n=1)).probability
         assert d == pytest.approx(s, abs=1e-12)
+
+    def test_beta_argument_is_exact(self):
+        # sigma_x sigma_y != 1: the rounded scales put c2/(c1 + c2) one ulp
+        # off (1 - rho)/2, which moved P by 2.3e-17; the series takes the
+        # exact argument
+        rho = -0.9602985408397823
+        p = ProductNormalParams(2.788546686753401, 0.9235352012030429,
+                                1.5876434633477425, 0.25410095775976044, rho, 5)
+        q = to_chisq_diff(p)
+        assert q.scale_minus / (q.scale_plus + q.scale_minus) != (1.0 - rho) / 2.0
+        series = _beta_double_series((1.0 - rho) / 2.0, 2.5, q.lambda_plus,
+                                     q.lambda_minus, SeriesControl())
+        assert prob_nonpositive_sum(p) == series
 
     def test_domain(self):
         with pytest.raises(DomainError):
