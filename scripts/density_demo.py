@@ -37,7 +37,7 @@ def main() -> int:
         try:
             a = ncx2diff_pdf(x, q)
         except SingularPointError:
-            print(f"{x:>8.3f}   (series not evaluated at 0 for r <= 2)")
+            print(f"{x:>8.3f}   (the density diverges at 0 for r <= 1)")
             continue
         b = cf_inversion_pdf(x, cf)
         worst = max(worst, abs(a - b))

@@ -94,6 +94,11 @@ if __name__ == "__main__":
     show("pdf(1.3;  r=2.5, central)", diff_pdf("1.3", "2.5", 0, 0))
     show("pdf(-1e-6; r=3.7225, central)", diff_pdf("-1e-6", "3.7225", 0, 0))
     show("pdf(0.3;  r=2.5, l1=1,   l2=0.5)", diff_pdf("0.3", "2.5", 1, "0.5"))
+    print("# density at x = 0, finite for r > 1 (convolution route)")
+    show("pdf(0;    r=2,   central)", diff_pdf(0, 2, 0, 0))
+    show("pdf(0;    r=1.5, central)", diff_pdf(0, "1.5", 0, 0))
+    show("pdf(0;    r=2,   l1=1,   l2=0.5)", diff_pdf(0, 2, 1, "0.5"))
+    show("pdf(0;    r=1.5, l1=1,   l2=0.5)", diff_pdf(0, "1.5", 1, "0.5"))
     print("# noncentral chi-square density where ive underflows (Bessel-I series)")
     show("ncx2_pdf(1e4; r=8002, lam=2000)", ncx2_pdf(10000, 8002, 2000), 25)
     print("# Tricomi U values")

@@ -52,10 +52,10 @@ def ncx2_pdf(x: float, r: float, lam: float) -> float:
 
     Raises SingularPointError at x = 0 when r < 2 (the density diverges there).
     """
-    if x < 0:
-        raise DomainError(f"ncx2_pdf requires x >= 0, got {x}")
-    if r <= 0 or lam < 0:
-        raise DomainError("require r > 0 and lambda >= 0")
+    if not 0 <= x < math.inf:
+        raise DomainError(f"ncx2_pdf requires finite x >= 0, got {x}")
+    if not (0 < r < math.inf and 0 <= lam < math.inf):
+        raise DomainError("require finite r > 0 and lambda >= 0")
     if x == 0:
         if r < 2:
             raise SingularPointError(x, "chi'^2 density diverges at 0 for r < 2")
@@ -78,42 +78,39 @@ def ncx2_pdf(x: float, r: float, lam: float) -> float:
 
 
 def _window_bounds(x: float, r: float, lam1: float, lam2: float,
-                   floor: float) -> np.ndarray:
-    """E[K] bounds the cells of the double series past outer index K, for
-    K = 0, 1, ...: the series stops at the first K whose E[K] meets its
-    target.
+                   floor: float) -> tuple:
+    """The Poisson windows of j1 and j2 at mass `floor`: (lo1, row, lo2, w2,
+    outside), row = p1 S over the first and w2 = p2 over the second.
 
-    Cell (k, j) is Poisson((lam1 + lam2)/2) weight k times a binomial share
-    times the density at x of chi^2_{r+2 j1} - chi^2_{r+2 j2}, j1 = k - j and
-    j2 = j. That density is at most S(j1) = sup over y >= x of the
-    chi^2_{r+2 j1} density; for j1 = 0 and r <= 2 it is also at most
-    int chi^2_r chi^2_{r+2 j2} <= Gamma(r) / (2^{r+1} Gamma(r/2) Gamma(r/2+1)),
-    since j2 >= 1 past k = 0. So row k sums to at most its Poisson weight
-    times the largest S(j1) in it, never more than 1/2, and the rows outside
-    the Poisson window lo..hi (mass at most floor) add at most floor / 2:
-    E[K] counts that half of the omitted mass for every K.
+    Cell (j1, j2) is p1(j1) p2(j2), Poisson(lam1/2) and Poisson(lam2/2)
+    weights, times the density at x of chi^2_{r+2 j1} - chi^2_{r+2 j2}. That
+    is at most S(j1) = sup over y >= x of the chi^2_{r+2 j1} density; for
+    j1 = 0 and r <= 2 also at most int chi^2_r chi^2_{r+2 j2} <=
+    Gamma(r) / (2^{r+1} Gamma(r/2) Gamma(r/2+1)) once j2 >= 1. Cell (0, 0),
+    which diverges at x = 0 for r <= 1, is always summed, so S <= 1/2 bounds
+    every other cell, and those outside both windows (masses o1, o2 left)
+    add at most `outside` = o1/2 + o2 sum(row) <= floor.
     """
-    mu = (lam1 + lam2) / 2.0
-    lo, w, omitted = _poisson_window(mu, floor, math.inf)
-    cap = lo + w.size - 1
-    k = np.arange(cap + 1)
-    nu = r + 2.0 * k
+    lo1, w1, o1 = _poisson_window(lam1 / 2.0, floor, math.inf)
+    lo2, w2, o2 = _poisson_window(lam2 / 2.0, floor, math.inf)
+    nu = r + 2.0 * np.arange(lo1, lo1 + w1.size)
     y = np.maximum(x, nu - 2.0)  # where chi^2_nu peaks on [x, inf)
     sup = np.exp(sc.xlogy(nu / 2.0 - 1.0, y) - y / 2.0 - nu / 2.0 * _LN2
                  - sc.gammaln(nu / 2.0))
-    if r <= 2.0:
+    if r <= 2.0 and lo1 == 0:
         sup[0] = min(sup[0], math.exp(sc.gammaln(r) - (r + 1.0) * _LN2
                                       - sc.gammaln(r / 2.0) - sc.gammaln(r / 2.0 + 1.0)))
-    if lam1 == 0.0:  # every cell has j1 = 0
-        row = np.full(cap + 1, sup[0])
-    elif lam2 == 0.0:  # every cell has j1 = k
-        row = sup
-    else:
-        row = np.maximum.accumulate(sup)
-    rows = np.zeros(cap + 1)
-    rows[lo:] = w * row[lo:]
-    past = np.cumsum(rows[::-1])[::-1]
-    return np.append(past[1:], 0.0) + 0.5 * omitted
+    row = w1 * sup
+    return lo1, row, lo2, w2, 0.5 * o1 + o2 * float(row.sum())
+
+
+def _trim(lo: int, w: np.ndarray, cut: float) -> tuple[int, int, float]:
+    """The shortest sub-window of lo..lo + len(w) - 1 that keeps the largest
+    weight and leaves at most `cut` of w at each end, and the mass it leaves."""
+    m = int(np.argmax(w))
+    i = min(int(np.searchsorted(np.cumsum(w), cut, side="right")), m)
+    k = min(int(np.searchsorted(np.cumsum(w[::-1]), cut, side="right")), w.size - 1 - m)
+    return lo + i, lo + w.size - 1 - k, float(w[:i].sum() + w[w.size - k:].sum())
 
 
 def _log_diagonal(x: float, r: float, K: int) -> np.ndarray:
@@ -141,58 +138,52 @@ def _log_diagonal(x: float, r: float, K: int) -> np.ndarray:
     return out
 
 
-def _window_sum(x: float, r: float, lam1: float, lam2: float, K: int) -> float:
-    """The double series over the cells k <= K, at x >= 0.
+def _window_sum(x: float, r: float, lam1: float, lam2: float,
+                lo1: int, hi1: int, lo2: int, hi2: int) -> float:
+    """The double series over the cells (j1, j2) of the rectangle
+    lo1..hi1 x lo2..hi2, and cell (0, 0), at x >= 0.
 
-    Cell (k, j) is a weight times x^{r+k-1} U(r/2 + j, r + k, x); it is held
-    at (d, j), d = k - j, where the weight (lam1/4)^d (lam2/4)^j /
-    (d! j! Gamma(r/2 + d)) splits into a factor of d and a factor of j. With
-    lam1 = 0 only the diagonal d = 0 is present, with lam2 = 0 only column
-    j = 0. Column j starts from the diagonal V_j, takes its value at
-    b = r + j + 1 from V_j and V_{j+1} by DLMF 13.3.10,
-    U(a, b) = a U(a+1, b) + U(a, b-1), and then steps down by DLMF 13.3.8 in
-    ratio form; U is the dominant solution in b, so that forward recurrence
-    is stable. All columns take their d-th step together.
+    Cell (j1, j2) = (d, j) is a weight times x^{r+d+j-1} U(r/2 + j, r + d + j, x),
+    where the weight (lam1/4)^d (lam2/4)^j / (d! j! Gamma(r/2 + d)) splits
+    into a factor of d and a factor of j. Column j starts from the diagonal
+    V_j at d = 0, takes its value at b = r + j + 1 from V_j and V_{j+1} by
+    DLMF 13.3.10, U(a, b) = a U(a+1, b) + U(a, b-1), and then steps down by
+    DLMF 13.3.8 in ratio form; U is the dominant solution in b, so that
+    forward recurrence is stable. All columns take their d-th step together;
+    the steps below lo1 take no U call and add nothing to the sum.
     """
     h = r / 2.0
-    D = K if lam1 > 0.0 else 0
-    J = K if lam2 > 0.0 else 0
-    d = np.arange(D + 1.0)
-    j = np.arange(J + 1.0)
+    d = np.arange(lo1, hi1 + 1.0)
+    j = np.arange(lo2, hi2 + 1.0)
     if x == 0.0:
-        # x -> 0 limit of x^{r+k-1} U(r/2+j, r+k, x); valid since r > 2
+        # x -> 0 limit of x^{b-1} U(r/2+j, b, x), b = r+d+j; valid since r > 1
         lu = sc.gammaln(r - 1.0 + d[:, None] + j) - sc.gammaln(h + j)
     else:
-        lv = _log_diagonal(x, r, J if D == 0 else min(K, J + 1))
-        lu = np.zeros((D + 1, J + 1))
-        if D:
-            # rho[d - 1, j] = x U(a, b) / U(a, b - 1) at a = r/2 + j,
-            # b = r + j + d, for the columns j < K that step at all; scaled by
-            # x so that it stays finite for subnormal x
+        lv = _log_diagonal(x, r, hi2 + (hi1 > 0))
+        # rho[d] = x U(a, b) / U(a, b - 1) at a = r/2 + j, b = r + j + d, and
+        # 1 at d = 0; scaled by x so that it stays finite for subnormal x
+        rho = np.ones((hi1 + 1, j.size))
+        if hi1:
             lx = math.log(x)
-            nc = min(J + 1, K)
-            rho = np.ones((D, J + 1))
             # 13.3.10 has all terms positive; logaddexp because its exponent
             # grows like -ln x, past exp's range for subnormal x
-            rho[0, :nc] = np.exp(np.logaddexp(np.log(h + j[:nc]) + lv[1:nc + 1] - lx,
-                                              lv[:nc]) - lv[:nc] + lx)
-            base = r - 1.0 + x + j[:nc]
-            for step in range(1, D):
-                c = min(nc, K - step)
+            rho[1] = np.exp(np.logaddexp(np.log(h + j) + lv[lo2 + 1:hi2 + 2] - lx,
+                                         lv[lo2:hi2 + 1]) - lv[lo2:hi2 + 1] + lx)
+            base = r - 1.0 + x + j
+            for step in range(1, hi1):
                 # z U(a, b+1) = (b - 1 + z) U(a, b) - (b - a - 1) U(a, b-1)
-                rho[step, :c] = (base[:c] + step) - (h + step - 1.0) * x / rho[step - 1, :c]
-            lu[1:] = np.cumsum(np.log(rho), axis=0)
-        lu += lv[:J + 1]
-    # note the 2^{-k}: the correct Poisson-mixture weights are
-    # (lam1/4)^{k-j} (lam2/4)^j, cross-checked against the equal-lambda
-    # Bessel series, CF inversion and Monte Carlo
+                rho[step + 1] = (base + step) - (h + step - 1.0) * x / rho[step]
+        lu = np.cumsum(np.log(rho), axis=0)[lo1:] + lv[lo2:hi2 + 1]
+    lu00 = lv[0] if x else sc.gammaln(r - 1.0) - sc.gammaln(h)
+    # the weights' 2^{-d-j} is checked against Bessel-K, CF inversion and Monte Carlo
     llam1 = math.log(lam1) - _LN2 if lam1 > 0 else 0.0
     llam2 = math.log(lam2) - _LN2 if lam2 > 0 else 0.0
     cd = -sc.gammaln(d + 1.0) - sc.gammaln(h + d) + d * (llam1 - _LN2)
     cj = -sc.gammaln(j + 1.0) + j * (llam2 - _LN2) - r * _LN2 - (x + lam1 + lam2) / 2.0
-    terms = np.exp(lu + cd[:, None] + cj)
-    terms[d[:, None] + j > K] = 0.0  # the window is the cells d + j <= K
-    return float(terms.sum())
+    total = float(np.exp(lu + cd[:, None] + cj).sum())
+    if lo1 or lo2:  # cell (0, 0)
+        total += math.exp(lu00 - sc.gammaln(h) - r * _LN2 - (x + lam1 + lam2) / 2.0)
+    return total
 
 
 def _saddlepoint_pdf(x: float, r: float, lam1: float, lam2: float) -> float:
@@ -226,40 +217,47 @@ def _saddlepoint_pdf(x: float, r: float, lam1: float, lam2: float) -> float:
 
 def _diff_pdf_nonneg(x: float, r: float, lam1: float, lam2: float,
                      ctrl: SeriesControl) -> float:
-    """Double-series density at x >= 0 over the certified window k <= K
-    (see ncx2diff_pdf and _window_bounds).
-
-    K is sized up front for the saddlepoint approximation of p. Where the sum
-    comes out smaller than that, the window is sized again for the sum, a
-    lower bound on p since all terms are positive. A window of more than
-    max_terms cells is cut to the largest that fits; if that one is not
-    certified, NonConvergenceError names the max_terms that is.
+    """Double-series density at x >= 0 over a certified rectangle (see
+    ncx2diff_pdf and _window_bounds). The rectangle leaves at most a quarter
+    of the spare tolerance at each end of row, and of w2 times sum(row). A
+    budget error names a max_terms sized for the sum over the largest
+    sub-rectangle that fits, a lower bound on p, so that it suffices.
     """
-    if x == 0.0 and r <= 2.0:
-        raise SingularPointError(x, "difference density singular/non-series at 0 for r <= 2")
+    if x == 0.0 and r <= 1.0:
+        raise SingularPointError(x, "difference density diverges at 0 for r <= 1")
     tol = ctrl.abs_tol
-    bound = _window_bounds(x, r, lam1, lam2, tol * _TINY)
+    lo1, row, lo2, w2, outside = _window_bounds(x, r, lam1, lam2, tol * _TINY)
+    rows = max(float(row.sum()), _TINY)  # kept positive: the j2 cut divides by it
+
+    def target(p):
+        return tol * min(1.0, max(p, _TINY))
 
     def window(p):
-        return int(np.argmax(bound <= tol * min(1.0, max(p, _TINY))))
+        """The rectangle certified for p, its omitted bound and its cells."""
+        spare = target(p) - outside
+        a, b, left1 = _trim(lo1, row, spare / 4.0)
+        c, e, left2 = _trim(lo2, w2, spare / (4.0 * rows))
+        return (a, b, c, e), outside + left1 + left2 * rows, (b - a + 1) * (e - c + 1)
 
-    # the window k <= K has K + 1 cells with lam1 = 0 or lam2 = 0 (one
-    # diagonal or one column) and (K + 1)(K + 2)/2 else; the largest K whose
-    # cells fit the budget
-    one_sided = lam1 == 0.0 or lam2 == 0.0
-    m = ctrl.max_terms
-    fits = m - 1 if one_sided else (math.isqrt(8 * m + 1) - 3) // 2
-    K = min(window(_saddlepoint_pdf(x, r, lam1, lam2)), fits)
-    total = _window_sum(x, r, lam1, lam2, K)
-    need = window(total)
-    if need > K:
-        if need > fits:
-            cells = need + 1 if one_sided else (need + 1) * (need + 2) // 2
-            raise NonConvergenceError(
-                f"difference-density series at x={x}: the certified window has "
-                f"{cells} cells > max_terms={m}", max_terms=cells)
-        total = _window_sum(x, r, lam1, lam2, need)
-    return total
+    win, bound, cells = window(_saddlepoint_pdf(x, r, lam1, lam2))
+    if cells <= ctrl.max_terms:
+        total = _window_sum(x, r, lam1, lam2, *win)
+        if bound <= target(total):
+            return total
+        win, _, cells = window(total)
+        if cells <= ctrl.max_terms:
+            return _window_sum(x, r, lam1, lam2, *win)
+    else:  # both sides shrunk by one factor about their middles
+        a, b, c, e = win
+        f = math.sqrt(ctrl.max_terms / cells)
+        k1, k2 = max(1, int((b - a + 1) * f)), max(1, int((e - c + 1) * f))
+        a, c = (a + b + 1 - k1) // 2, (c + e + 1 - k2) // 2
+        lower = _window_sum(x, r, lam1, lam2, a, a + k1 - 1, c, c + k2 - 1)
+        if bound > target(lower):
+            win, _, cells = window(lower)
+    raise NonConvergenceError(
+        f"difference-density series at x={x}: the certified rectangle has "
+        f"{cells} cells > max_terms={ctrl.max_terms}", max_terms=cells)
 
 
 def ncx2diff_pdf(x: float, q: ChiSqDiffParams,
@@ -269,14 +267,16 @@ def ncx2diff_pdf(x: float, q: ChiSqDiffParams,
     Negative abscissae are handled through the symmetry
     p(x; r, lam1, lam2) = p(-x; r, lam2, lam1).
 
-    The double series is summed over the outer indices k <= K, a window fixed
-    before summing (sized by a saddlepoint estimate of p, widened once if the
-    sum comes out smaller). It is certified: the omitted cells add at most
-    ctrl.abs_tol * min(1, max(p, 2.2e-308)), by a rigorous bound on every
-    cell past K. A window of more than ctrl.max_terms cells raises
-    NonConvergenceError; its max_terms attribute is a budget that suffices.
-    Raises SingularPointError at x = 0 for r <= 2.
+    The double series is summed over a rectangle of two Poisson windows (of
+    j1 and j2), fixed before summing: sized by a saddlepoint estimate of p,
+    widened once if the sum comes out smaller. It is certified: the omitted
+    cells add at most ctrl.abs_tol * min(1, max(p, 2.2e-308)). A rectangle of
+    more than ctrl.max_terms cells raises NonConvergenceError; its max_terms
+    attribute is a budget that suffices. Raises SingularPointError at x = 0
+    for r <= 1 (the density is finite there for r > 1).
     """
+    if not math.isfinite(x):
+        raise DomainError(f"ncx2diff_pdf requires finite x, got {x}")
     if x >= 0:
         return _diff_pdf_nonneg(x, q.r, q.lambda1, q.lambda2, ctrl)
     return _diff_pdf_nonneg(-x, q.r, q.lambda2, q.lambda1, ctrl)

@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the library."""
+"""Exception hierarchy shared across the library, and the integer check that
+raises its DomainError."""
 
 
 class Ncx2DiffError(Exception):
@@ -38,3 +39,14 @@ class InversionAccuracyError(Ncx2DiffError):
 class UnsupportedParameterError(Ncx2DiffError):
     """Operation is not defined for these parameter values."""
 
+
+def check_integer(value, least: int, what: str) -> int:
+    """value as an int; DomainError unless it is an integral number >= least
+    (so not a str, nan or inf)."""
+    try:
+        ok = value >= least and value == int(value)
+    except (TypeError, ValueError, OverflowError):  # a str, nan or inf
+        ok = False
+    if not ok:
+        raise DomainError(f"{what} must be an integer >= {least}, got {value!r}")
+    return int(value)

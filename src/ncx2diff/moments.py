@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from scipy import special as sc
 
-from .errors import DomainError
+from .errors import DomainError, check_integer
 from .params import (ChiSqDiffParams, ChiSqDiffRepr, ProductNormalParams,
                      to_chisq_diff)
 from .specfun import log_kummer_m
@@ -60,28 +60,17 @@ class MomentSet:
         }
 
 
-def _check_order(k) -> int:
-    """k as an int; DomainError unless it is a nonnegative integral number."""
-    try:
-        ok = k >= 0 and k == int(k)
-    except (TypeError, ValueError, OverflowError):  # a str, nan or inf
-        ok = False
-    if not ok:
-        raise DomainError(f"moment order must be a nonnegative integer, got {k}")
-    return int(k)
-
-
 def log_ncx2_moment(k: int, r: float, lam: float) -> float:
     """ln E[V^k] for V ~ chi'^2_r(lambda); stable for large order/noncentrality.
 
     E[V^k] = 2^k Gamma(r/2+k)/Gamma(r/2) M(-k, r/2, -lambda/2), rewritten via
     the Kummer transformation so every series term is positive.
     """
-    k = _check_order(k)
-    if r <= 0:
-        raise DomainError(f"r must be positive, got {r}")
-    if lam < 0:
-        raise DomainError(f"lambda must be nonnegative, got {lam}")
+    k = check_integer(k, 0, "moment order")
+    if not 0 < r < math.inf:
+        raise DomainError(f"r must be positive and finite, got {r}")
+    if not 0 <= lam < math.inf:
+        raise DomainError(f"lambda must be nonnegative and finite, got {lam}")
     if k == 0:
         return 0.0
     out = k * math.log(2.0) + sc.gammaln(r / 2.0 + k) - sc.gammaln(r / 2.0)
@@ -97,7 +86,7 @@ def ncx2_moment(k: int, r: float, lam: float) -> float:
 
 def ncx2_cumulant(k: int, r: float, lam: float) -> float:
     """kappa_k = 2^{k-1} (k-1)! (r + k*lambda) for V ~ chi'^2_r(lambda)."""
-    k = _check_order(k)
+    k = check_integer(k, 0, "moment order")
     if k == 0:
         return 0.0
     return 2.0 ** (k - 1) * math.factorial(k - 1) * (r + k * lam)
@@ -181,7 +170,7 @@ def sum_moment(k: int, params: ProductNormalParams | ChiSqDiffParams) -> float:
     representation c1*V1 - c2*V2 + shift (c1 = c2 = 1 and no shift for T),
     summed exactly (see _diff_moments).
     """
-    k = _check_order(k)
+    k = check_integer(k, 0, "moment order")
     if k == 0:
         return 1.0
     return _diff_moments(k, to_chisq_diff(params))[-1]
@@ -196,7 +185,7 @@ def sum_cumulant(k: int, params: ProductNormalParams | ChiSqDiffParams) -> float
     (s^k/2)(k-1)! [(1+rho)^k (n + k*lam+) + (-1)^k (1-rho)^k (n + k*lam-)];
     for T it is 2^{k-1}(k-1)! [(r + k*lambda1) + (-1)^k (r + k*lambda2)].
     """
-    k = _check_order(k)
+    k = check_integer(k, 0, "moment order")
     if k == 0:
         return 0.0
     q = to_chisq_diff(params)
@@ -210,7 +199,7 @@ def sum_cumulant(k: int, params: ProductNormalParams | ChiSqDiffParams) -> float
 def sum_moment_set(params: ProductNormalParams | ChiSqDiffParams,
                    kmax: int = 4) -> MomentSet:
     """Moments/cumulants of S_n, or of T, up to order kmax (>= 4)."""
-    kmax = _check_order(kmax)
+    kmax = check_integer(kmax, 0, "moment order")
     if kmax < 4:
         raise DomainError("kmax must be at least 4 for the shape summaries")
     raw = _diff_moments(kmax, to_chisq_diff(params))

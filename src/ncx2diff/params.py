@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass, asdict
 from functools import cached_property
 
-from .errors import DomainError, UnsupportedParameterError
+from .errors import DomainError, UnsupportedParameterError, check_integer
 
 __all__ = [
     "ProductNormalParams",
@@ -32,12 +32,13 @@ class ProductNormalParams:
     n: int = 1
 
     def __post_init__(self):
-        if self.sigma_x <= 0 or self.sigma_y <= 0:
-            raise DomainError("sigma_x and sigma_y must be positive")
+        if not (math.isfinite(self.mu_x) and math.isfinite(self.mu_y)):
+            raise DomainError(f"mu_x and mu_y must be finite, got {self.mu_x}, {self.mu_y}")
+        if not (0 < self.sigma_x < math.inf and 0 < self.sigma_y < math.inf):
+            raise DomainError("sigma_x and sigma_y must be positive and finite")
         if not -1.0 <= self.rho <= 1.0:
             raise DomainError(f"rho must lie in [-1, 1], got {self.rho}")
-        if self.n < 1 or self.n != int(self.n):
-            raise DomainError(f"n must be a positive integer, got {self.n}")
+        object.__setattr__(self, "n", check_integer(self.n, 1, "n"))
 
     @property
     def s(self) -> float:
@@ -101,10 +102,10 @@ class ChiSqDiffParams:
     lambda2: float = 0.0
 
     def __post_init__(self):
-        if self.r <= 0:
-            raise DomainError(f"r must be positive, got {self.r}")
-        if self.lambda1 < 0 or self.lambda2 < 0:
-            raise DomainError("noncentralities must be nonnegative")
+        if not 0 < self.r < math.inf:
+            raise DomainError(f"r must be positive and finite, got {self.r}")
+        if not (0 <= self.lambda1 < math.inf and 0 <= self.lambda2 < math.inf):
+            raise DomainError("noncentralities must be nonnegative and finite")
 
     @cached_property
     def chisq_diff(self) -> "ChiSqDiffRepr":

@@ -19,7 +19,7 @@ from itertools import chain
 import numpy as np
 from scipy import special as sc
 
-from .errors import DomainError
+from .errors import DomainError, check_integer
 from .params import ChiSqDiffParams, ProductNormalParams, to_chisq_diff
 from .specfun import DEFAULT_CONTROL, SeriesControl, _poisson_window
 
@@ -117,8 +117,7 @@ def prob_nonpositive_sum(p: ProductNormalParams | ChiSqDiffParams,
 def prob_nonpositive_central(n: int, rho: float) -> float:
     """P(S_n <= 0) in the central case mu_x = mu_y = 0: the single term
     I_{(1-rho)/2}(n/2, n/2)."""
-    if n < 1 or n != int(n):
-        raise DomainError(f"n must be a positive integer, got {n}")
+    n = check_integer(n, 1, "n")
     if not -1.0 < rho < 1.0:
         raise DomainError(f"rho must lie in (-1, 1), got {rho}")
     return float(sc.betainc(n / 2.0, n / 2.0, (1.0 - rho) / 2.0))

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_integer
 from .params import ChiSqDiffParams, ProductNormalParams, to_chisq_diff
 
 __all__ = [
@@ -60,8 +60,7 @@ def _rng(seed: int) -> np.random.Generator:
 def _draws(count: int, seed: int, draw) -> np.ndarray:
     """count values from draw(rng, m), called in order on chunks of
     m <= _CHUNK values from the one stream keyed by seed."""
-    if count < 1:
-        raise DomainError(f"count must be >= 1, got {count}")
+    count = check_integer(count, 1, "count")
     rng = _rng(seed)
     out = np.empty(count)
     for lo in range(0, count, _CHUNK):
@@ -97,10 +96,10 @@ def _draw_ncx2(rng: np.random.Generator, r: float, lam: float,
 
 def sample_ncx2(r: float, lam: float, count: int, seed: int) -> SampleBatch:
     """Draw from the noncentral chi-square chi'^2_r(lambda)."""
-    if r <= 0:
-        raise DomainError(f"r must be positive, got {r}")
-    if lam < 0:
-        raise DomainError(f"lambda must be nonnegative, got {lam}")
+    if not 0 < r < math.inf:
+        raise DomainError(f"r must be positive and finite, got {r}")
+    if not 0 <= lam < math.inf:
+        raise DomainError(f"lambda must be nonnegative and finite, got {lam}")
     out = _draws(count, seed, lambda rng, m: _draw_ncx2(rng, r, lam, m))
     return SampleBatch(out, seed, "ncx2", {"r": r, "lambda": lam})
 

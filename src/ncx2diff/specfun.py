@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as sc
 
-from .errors import DomainError, NonConvergenceError
+from .errors import DomainError, NonConvergenceError, check_integer
 
 __all__ = [
     "SeriesControl",
@@ -42,8 +42,7 @@ class SeriesControl:
     def __post_init__(self):
         if not 0 < self.abs_tol < 1:
             raise DomainError(f"abs_tol must lie in (0, 1), got {self.abs_tol}")
-        if self.max_terms < 1:
-            raise DomainError("max_terms must be >= 1")
+        object.__setattr__(self, "max_terms", check_integer(self.max_terms, 1, "max_terms"))
 
 
 DEFAULT_CONTROL = SeriesControl()

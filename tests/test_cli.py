@@ -67,6 +67,15 @@ class TestPdf:
         assert middle[2] == "singular" and middle[1] == ""
         assert float(rows[1][1]) > 0
 
+    def test_finite_at_zero_for_r_two(self, capsys):
+        # the central r = 2 law is Laplace: 1/4 at 0
+        code, out, _ = run(capsys, "--format", "csv", "pdf", "--diff", "--r", "2",
+                           "--grid", "-0.001:0.001:3")
+        assert code == 0
+        middle = list(csv.reader(out.splitlines()))[2]
+        assert float(middle[0]) == 0.0 and middle[2] == ""
+        assert float(middle[1]) == pytest.approx(0.25, rel=1e-12)
+
     def test_budget_error_names_max_terms(self, capsys):
         # the certified window of (3, 100, 100) at 0.7 needs more cells than
         # the default budget; the message names a budget that suffices

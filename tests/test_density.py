@@ -6,6 +6,7 @@ chi-square densities with mpmath at 40 digits (scripts/generate_oracle_values.py
 """
 
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -33,6 +34,16 @@ PDF_REFERENCE = [
     (0.25, 0.5, 0.3, 0.7, 0.280009314133528734277887928622),
     (1.5, 1.0, 0.5, 2.0, 0.0696468197730705093729591400856),
     (1.3, 2.5, 0.0, 0.0, 0.126762370212030256433050703335),
+]
+
+# (r, lam1, lam2) -> pdf at x = 0 for 1 < r <= 2, where it is finite: the
+# Laplace density's 1/4, Gamma(r-1)/(2^r Gamma(r/2)^2) for the central law,
+# and 30-digit convolutions (scripts/generate_oracle_values.py)
+ZERO_REFERENCE = [
+    (2.0, 0.0, 0.0, 0.25),
+    (1.5, 0.0, 0.0, 0.417313420837036593140591805553),
+    (2.0, 1.0, 0.5, 0.177233861937242093536938066251),
+    (1.5, 1.0, 0.5, 0.261971833092834654548978422634),
 ]
 
 
@@ -180,9 +191,13 @@ class TestCrossFormAgreement:
 
 class TestZeroAndSingularities:
     def test_singular_at_zero_for_small_r(self):
-        for r in [0.5, 1.0, 2.0]:
+        for r in [0.5, 1.0]:
             with pytest.raises(SingularPointError):
                 ncx2diff_pdf(0.0, ChiSqDiffParams(r, 1.0, 0.5))
+
+    @pytest.mark.parametrize("r,l1,l2,ref", ZERO_REFERENCE)
+    def test_finite_at_zero_for_r_above_one(self, r, l1, l2, ref):
+        assert ncx2diff_pdf(0.0, ChiSqDiffParams(r, l1, l2)) == pytest.approx(ref, rel=1e-12)
 
     def test_zero_limit_continuous_for_large_r(self):
         for (r, l1, l2) in [(2.5, 0.0, 0.0), (3.0, 1.2, 0.4), (4.5, 2.0, 2.0)]:
@@ -356,6 +371,8 @@ class TestCertifiedWindow:
     @example(r=3.0, l1=60.0, l2=60.0, z=10.0 / (2.0 * math.sqrt(123.0)))
     @example(r=3.0, l1=100.0, l2=100.0, z=0.7 / (2.0 * math.sqrt(203.0)))
     @example(r=1.0, l1=200.0, l2=0.0, z=-50.0 / (2.0 * math.sqrt(201.0)))
+    # x = 1.5e-323, where |x|/2 rounds and the Bessel-K reference is 0.2165
+    @example(r=2.0, l1=0.0, l2=0.0, z=5e-324)
     def test_against_cf_inversion(self, r, l1, l2, z):
         # x within 6 standard deviations of the mean; the value agrees with CF
         # inversion (or, where that cannot meet its tolerance, the 40-digit
@@ -363,8 +380,8 @@ class TestCertifiedWindow:
         # error names a max_terms at which it does. Within 0.01 of 0 CF
         # inversion is silently wrong for r <= 2 (0.19 off at r = 0.5,
         # x = 1e-6, and negative at r = 1.5): there the reference is the
-        # Bessel-K series at lambda1 = lambda2 (it needs |x|/2 > 0) and the
-        # 40-digit series else
+        # Bessel-K series at lambda1 = lambda2 (it needs |x|/2 to be exact,
+        # so not subnormal) and the 40-digit series else
         x = l1 - l2 + z * 2.0 * math.sqrt(r + l1 + l2)
         assume(x != 0.0)
         q = ChiSqDiffParams(r, l1, l2)
@@ -373,7 +390,7 @@ class TestCertifiedWindow:
         except NonConvergenceError as exc:
             assert exc.max_terms > DEFAULT_CONTROL.max_terms
             v = ncx2diff_pdf(x, q, SeriesControl(max_terms=exc.max_terms))
-        if l1 == l2 and abs(x) / 2.0 > 0.0:
+        if l1 == l2 and abs(x) >= 2.0 * sys.float_info.min:
             ref = _equal_lambda_pdf(x, r, l1)
         elif abs(x) < 0.01:
             ref = mp_series_pdf(x, r, l1, l2)
@@ -384,14 +401,28 @@ class TestCertifiedWindow:
                 ref = mp_diff_pdf(x, r, l1, l2)
         assert abs(v - ref) <= 1e-8 * max(1.0, abs(ref))
 
-    def test_budget_error_names_a_sufficient_budget(self):
-        q = ChiSqDiffParams(3.0, 100.0, 100.0)
+    @pytest.mark.parametrize("x,r,l1,l2,max_terms,most,ref", [
+        (0.7, 3.0, 100.0, 100.0, DEFAULT_CONTROL.max_terms, 11_000,
+         lambda: pytest.approx(0.0141003542, abs=1e-9)),
+        # near 0 at large noncentralities: both windows start far above 0
+        (1e-9, 0.3, 500.0, 500.0, DEFAULT_CONTROL.max_terms, 60_000,
+         lambda: pytest.approx(_equal_lambda_pdf(1e-9, 0.3, 500.0), rel=1e-10)),
+        # the sum comes out below the saddlepoint estimate: a budget named
+        # for the estimate's rectangle alone could fall short
+        (-17.7428, 0.8881, 1.8084, 4.8021, 300, None,
+         lambda: pytest.approx(mp_diff_pdf(-17.7428, 0.8881, 1.8084, 4.8021), rel=1e-10)),
+    ], ids=["r3-lam100", "r0.3-lam500", "below-saddlepoint"])
+    def test_budget_error_names_a_sufficient_budget(self, x, r, l1, l2, max_terms,
+                                                    most, ref):
+        q = ChiSqDiffParams(r, l1, l2)
         with pytest.raises(NonConvergenceError) as info:
-            ncx2diff_pdf(0.7, q)
-        ctrl = SeriesControl(max_terms=info.value.max_terms)
-        assert ncx2diff_pdf(0.7, q, ctrl) == pytest.approx(0.0141003542, abs=1e-9)
-        with pytest.raises(NonConvergenceError):
-            ncx2diff_pdf(0.7, q, SeriesControl(max_terms=info.value.max_terms - 1))
+            ncx2diff_pdf(x, q, SeriesControl(max_terms=max_terms))
+        named = info.value.max_terms
+        assert ncx2diff_pdf(x, q, SeriesControl(max_terms=named)) == ref()
+        if most is not None:  # and it is the least that suffices
+            assert named <= most
+            with pytest.raises(NonConvergenceError):
+                ncx2diff_pdf(x, q, SeriesControl(max_terms=named - 1))
 
     @pytest.mark.parametrize("r,x,k,ref", DIAGONAL_REFERENCE)
     def test_diagonal_recurrence(self, r, x, k, ref):

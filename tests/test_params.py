@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncx2diff.density import char_fn_diff, char_fn_sum
+from ncx2diff.density import char_fn_diff, char_fn_sum, ncx2_pdf, ncx2diff_pdf
 from ncx2diff.errors import DomainError, UnsupportedParameterError
 from ncx2diff.moments import diff_moment, ncx2_moment, sum_moment
 from ncx2diff.params import (ChiSqDiffParams, ChiSqDiffRepr, ProductNormalParams,
                              from_chisq_diff, to_chisq_diff)
 from ncx2diff.probability import prob_nonpositive_diff, prob_nonpositive_sum
+from ncx2diff.sampling import sample_ncx2, sample_product_definitional
+from ncx2diff.specfun import SeriesControl
 
 
 class TestValidation:
@@ -32,6 +34,44 @@ class TestValidation:
             ChiSqDiffParams(0.0)
         with pytest.raises(DomainError):
             ChiSqDiffParams(1.0, lambda1=-0.1)
+
+
+NAN, INF = math.nan, math.inf
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("call", [
+        lambda: prob_nonpositive_diff(ChiSqDiffParams(NAN, 1.0, 2.0)),
+        lambda: ChiSqDiffParams(INF),
+        lambda: ChiSqDiffParams(1.0, NAN),
+        lambda: ChiSqDiffParams(1.0, 0.0, INF),
+        lambda: ProductNormalParams(NAN, 0.0),
+        lambda: ProductNormalParams(0.0, -INF),
+        lambda: ProductNormalParams(0.0, 0.0, sigma_x=NAN),
+        lambda: ProductNormalParams(0.0, 0.0, sigma_y=INF),
+        lambda: ProductNormalParams(0.0, 0.0, n=NAN),
+        lambda: ProductNormalParams(0.0, 0.0, n=INF),
+        lambda: ncx2_pdf(1.0, NAN, 1.0),
+        lambda: ncx2_pdf(NAN, 1.0, 1.0),
+        lambda: sample_ncx2(NAN, 1.0, 5, 1),
+        lambda: sample_ncx2(1.0, INF, 5, 1),
+        lambda: ncx2diff_pdf(NAN, ChiSqDiffParams(2.0, 1.0, 0.5)),
+        lambda: ncx2diff_pdf(INF, ChiSqDiffParams(2.0, 1.0, 0.5)),
+        lambda: ncx2diff_pdf(-INF, ChiSqDiffParams(2.0, 1.0, 0.5)),
+        lambda: SeriesControl(max_terms=2.5),
+    ], ids=["prob-r-nan", "r-inf", "lambda1-nan", "lambda2-inf", "mu_x-nan",
+            "mu_y-inf", "sigma_x-nan", "sigma_y-inf", "n-nan", "n-inf",
+            "ncx2_pdf-r-nan", "ncx2_pdf-x-nan", "sample_ncx2-r-nan",
+            "sample_ncx2-lambda-inf", "pdf-x-nan", "pdf-x-inf", "pdf-x-minus-inf",
+            "max_terms-fraction"])
+    def test_domain_error(self, call):
+        with pytest.raises(DomainError):
+            call()
+
+    def test_integral_n_is_stored_as_int(self):
+        p = ProductNormalParams(1.0, 1.0, n=2.0)
+        assert type(p.n) is int
+        assert len(sample_product_definitional(p, 3, 1).values) == 3
 
 
 class TestRepresentation:
