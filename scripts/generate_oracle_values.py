@@ -2,7 +2,7 @@
 
 Every value is computed with mpmath at 40 significant digits through routes
 independent of the library code: the density by direct numerical convolution
-of two noncentral chi-square densities, U/M/Bessel values by mpmath's own
+of two noncentral chi-square densities (scaled, for S_n), U/M/Bessel values by mpmath's own
 implementations, negativity probabilities by the Poisson-weighted incomplete
 beta double series and, for the published-table cells and the near-degenerate
 correlations, by quadrature of the conditional normal, Poisson weights from
@@ -31,6 +31,28 @@ def diff_pdf(x, r, lam1, lam2):
     lo = max(mpf(0), x)
     return quad(lambda u: ncx2_pdf(u, r, lam1) * ncx2_pdf(u - x, r, lam2),
                 [lo, lo + 5, lo + 40, inf])
+
+
+def sum_pdf(x, mu_x, mu_y, sigma_x, sigma_y, rho, n):
+    """Density of S_n for |rho| < 1 as the convolution of the densities of
+    c+ V1 and c- V2, c+- = sigma_x sigma_y (1 +- rho)/2, V1 ~ chi'^2_n(lambda+)
+    and V2 ~ chi'^2_n(lambda-), split across the bulk of each factor and, near
+    0, at |x| 4^i."""
+    mu_x, mu_y, sigma_x, sigma_y, rho, x = (mpf(v) for v in (mu_x, mu_y, sigma_x, sigma_y, rho, x))
+    a, b = mu_x / sigma_x, mu_y / sigma_y
+    cp, cm = sigma_x * sigma_y * (1 + rho) / 2, sigma_x * sigma_y * (1 - rho) / 2
+    lp, lm = n * (a + b) ** 2 / (2 * (1 + rho)), n * (a - b) ** 2 / (2 * (1 - rho))
+    lo = max(mpf(0), x)
+    points = {lo}
+    for c, lam, off in ((cp, lp, 0), (cm, lm, x)):
+        mean, sd = n + lam, sqrt(2 * n + 4 * lam)
+        points |= {off + c * (mean + i * sd) for i in range(-8, 9)}
+    step = abs(x)
+    while 0 < step < 5 * max(cp, cm):
+        points.add(lo + step)
+        step *= 4
+    return quad(lambda u: ncx2_pdf(u / cp, n, lp) * ncx2_pdf((u - x) / cm, n, lm) / (cp * cm),
+                sorted(p for p in points if p >= lo) + [inf])
 
 
 def prob_diff_nonpositive(r, lam1, lam2, terms=120):
@@ -94,6 +116,11 @@ if __name__ == "__main__":
     show("pdf(1.3;  r=2.5, central)", diff_pdf("1.3", "2.5", 0, 0))
     show("pdf(-1e-6; r=3.7225, central)", diff_pdf("-1e-6", "3.7225", 0, 0))
     show("pdf(0.3;  r=2.5, l1=1,   l2=0.5)", diff_pdf("0.3", "2.5", 1, "0.5"))
+    print("# S_n densities (scaled convolution route)")
+    show("pdf_S(3e-4; mu=(-1.912,-1.088), rho=0.311, n=2)",
+         sum_pdf("3e-4", "-1.912", "-1.088", 1, 1, "0.311", 2))
+    show("pdf_S(430; mu=(16,4.5), sigma=(2,1.5), rho=0.1, n=6)",
+         sum_pdf(430, 16, "4.5", 2, "1.5", "0.1", 6))
     print("# density at x = 0, finite for r > 1 (convolution route)")
     show("pdf(0;    r=2,   central)", diff_pdf(0, 2, 0, 0))
     show("pdf(0;    r=1.5, central)", diff_pdf(0, "1.5", 0, 0))

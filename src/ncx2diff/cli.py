@@ -99,18 +99,10 @@ def _emit_obj(obj, args):
 def _cmd_pdf(args, parser):
     p = _params(args, parser)
     ctrl = _ctrl(args)
-    if isinstance(p, ChiSqDiffParams):
-        def pdf(x):
-            return density.ncx2diff_pdf(x, p, ctrl)
-    else:
-        # the sum law has unequal chi-square scales; evaluated by CF inversion
-        def pdf(x):
-            return density.cf_inversion_pdf(
-                x, lambda t: density.char_fn_sum(t, p))
     rows = []
     for x in _grid(args.grid):
         try:
-            rows.append((float(x), pdf(float(x)), ""))
+            rows.append((float(x), density.ncx2diff_pdf(float(x), p, ctrl), ""))
         except SingularPointError:
             rows.append((float(x), "", "singular"))
     _emit_rows(rows, ["x", "pdf", "flag"], args)

@@ -91,13 +91,15 @@ def _poisson_window(mu: float, tol: float, max_terms: float) -> tuple[int, np.nd
 
 
 def log_bessel_i(nu: float, x: float) -> float:
-    """ln I_nu(x), stable for large x and for large order at small argument."""
-    if nu < 0:
-        raise DomainError(f"log_bessel_i requires nu >= 0, got {nu}")
+    """ln I_nu(x) for nu > -1, stable for large x and for large order at small
+    argument. I_nu(x) > 0 there, and every term of its ascending series is
+    positive."""
+    if not nu > -1.0:
+        raise DomainError(f"log_bessel_i requires nu > -1, got {nu}")
     if x < 0:
         raise DomainError(f"log_bessel_i requires x >= 0, got {x}")
     if x == 0:
-        return 0.0 if nu == 0 else -math.inf
+        return 0.0 if nu == 0 else math.copysign(math.inf, -nu)
     scaled = sc.ive(nu, x)  # I_nu(x) * exp(-x)
     if scaled > 0 and math.isfinite(scaled):
         return math.log(scaled) + x

@@ -20,7 +20,6 @@ from functools import reduce
 import numpy as np
 from numpy.polynomial import Polynomial
 from numpy.polynomial.polynomial import polyadd, polymul, polyval
-from scipy.integrate import quad
 
 from .density import ncx2diff_pdf
 from .errors import DomainError, UnsupportedParameterError
@@ -186,6 +185,9 @@ def stein_expectation(operator: str, f: TestFunction, q: ChiSqDiffParams,
     if method == "monte_carlo":
         return _mean_and_error(_evaluate(terms, sample_diff(q, count, seed).values))
     if method == "quadrature":
+        # imported here: scipy.integrate adds about 0.3 s to the package import
+        from scipy.integrate import quad
+
         def integrand(x):
             return _evaluate(terms, x) * ncx2diff_pdf(x, q, ctrl)
         neg, e1 = quad(integrand, -np.inf, 0.0, limit=400)

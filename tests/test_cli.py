@@ -77,16 +77,24 @@ class TestPdf:
         assert float(middle[1]) == pytest.approx(0.25, rel=1e-12)
 
     def test_budget_error_names_max_terms(self, capsys):
-        # the certified window of (3, 100, 100) at 0.7 needs more cells than
-        # the default budget; the message names a budget that suffices
-        argv = ["pdf", "--diff", "--r", "3", "--lambda1", "100", "--lambda2", "100",
-                "--grid", "0.7:0.7:1"]
-        code, out, err = run(capsys, *argv)
-        assert code == 3 and out == ""
-        need = int(err.split("--max-terms ")[1].split()[0])
-        code, out, _ = run(capsys, *argv, "--max-terms", str(need))
-        assert code == 0
-        assert json.loads(out)[0]["pdf"] == pytest.approx(0.0141003542, abs=1e-9)
+        # the certified window needs more cells than the default budget, for
+        # T and for S_n; the message names a budget that suffices
+        for params, x, ref in [
+            (["--diff", "--r", "3", "--lambda1", "100", "--lambda2", "100"], "0.7",
+             pytest.approx(0.0141003542, abs=1e-9)),
+            # S_n: scales 1.65 and 1.35, lambdas 330 and 83; 40-digit scaled
+            # convolution (scripts/generate_oracle_values.py)
+            (["--product", "--mu-x", "16", "--mu-y", "4.5", "--sigma-x", "2",
+              "--sigma-y", "1.5", "--rho", "0.1", "--n", "6"], "430",
+             pytest.approx(0.00613135206376523537471525820894, rel=1e-10)),
+        ]:
+            argv = ["pdf", *params, "--grid", f"{x}:{x}:1"]
+            code, out, err = run(capsys, *argv)
+            assert code == 3 and out == ""
+            need = int(err.split("--max-terms ")[1].split()[0])
+            code, out, _ = run(capsys, *argv, "--max-terms", str(need))
+            assert code == 0
+            assert json.loads(out)[0]["pdf"] == ref
 
     def test_product_route(self, capsys):
         code, out, _ = run(capsys, "pdf", "--product", "--mu-x", "0",
@@ -95,6 +103,16 @@ class TestPdf:
         assert code == 0
         vals = json.loads(out)
         assert len(vals) == 3 and all(v["pdf"] >= 0 for v in vals)
+
+    def test_product_near_zero(self, capsys):
+        # CF inversion raised here (exit 3); 40-digit scaled convolution
+        # (scripts/generate_oracle_values.py)
+        code, out, _ = run(capsys, "pdf", "--product", "--mu-x", "-1.912",
+                           "--mu-y", "-1.088", "--rho", "0.311", "--n", "2",
+                           "--grid", "3e-4:3e-4:1")
+        assert code == 0
+        assert json.loads(out)[0]["pdf"] == pytest.approx(
+            0.0631604580619349593330773056613, rel=1e-10)
 
 
 class TestMoments:

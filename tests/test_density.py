@@ -1,5 +1,6 @@
 """Density tests: series forms against the frozen high-precision convolution
-oracle, each other, CF inversion, and analytic limits.
+oracle, each other, CF inversion, and analytic limits; the S_n density against
+the scaled convolution and, at rho = +-1, the noncentral chi-square.
 
 Oracle values were computed by direct numerical convolution of two noncentral
 chi-square densities with mpmath at 40 digits (scripts/generate_oracle_values.py).
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import special as sc
+from scipy import stats
 from scipy.integrate import quad
 
 from ncx2diff.density import (_log_diagonal, cf_inversion_pdf, char_fn_diff,
@@ -22,7 +24,7 @@ from ncx2diff.density import (_log_diagonal, cf_inversion_pdf, char_fn_diff,
                               singularity_constant)
 from ncx2diff.errors import (InversionAccuracyError, NonConvergenceError,
                              SingularPointError)
-from ncx2diff.params import ChiSqDiffParams, ProductNormalParams
+from ncx2diff.params import ChiSqDiffParams, ProductNormalParams, to_chisq_diff
 from ncx2diff.selftest import _equal_lambda_pdf
 from ncx2diff.specfun import DEFAULT_CONTROL, SeriesControl, log_tricomi_u
 
@@ -144,6 +146,15 @@ class TestAgainstConvolutionOracle:
         assert ncx2_pdf(1e4, 8002.0, 2000.0) == pytest.approx(
             0.002575175252873031440040618, rel=1e-10)
 
+    @pytest.mark.parametrize("x,r,lam,ref", [(1.0, 1.0, 2.0, 0.19389),
+                                             (0.5, 0.5, 0.3, 0.30128),
+                                             (3.0, 1.99, 4.0, 0.10817)])
+    def test_ncx2_pdf_below_two_degrees(self, x, r, lam, ref):
+        # the Bessel order r/2 - 1 lies in (-1, 0)
+        v = ncx2_pdf(x, r, lam)
+        assert v == pytest.approx(stats.ncx2.pdf(x, r, lam), rel=1e-12)
+        assert v == pytest.approx(ref, abs=5e-6)
+
     def test_central_bessel_form(self):
         # the Bessel-K oracle at lambda = 0: the variance-gamma density
         assert _equal_lambda_pdf(1.3, 2.5, 0.0) == pytest.approx(
@@ -218,6 +229,10 @@ class TestZeroAndSingularities:
             ncx2_pdf(0.0, 1.0, 0.5)
         assert ncx2_pdf(0.0, 2.0, 1.0) == pytest.approx(math.exp(-0.5) / 2)
         assert ncx2_pdf(0.0, 3.0, 1.0) == 0.0
+        # lambda x = 1e-400 underflows; at lambda = 1e-200 the law is chi^2_r
+        for r in (1.0, 3.0):
+            assert ncx2_pdf(1e-200, r, 1e-200) == pytest.approx(
+                stats.chi2.pdf(1e-200, r), rel=1e-12)
 
 
 class TestCharacteristicFunctions:
@@ -256,12 +271,12 @@ class TestCfInversion:
         assert val == pytest.approx(ref, rel=1e-7)
 
     def test_sum_density_at_rho(self):
-        # unequal-scale sum density only exists via inversion; sanity: integrates
-        # to ~1 over a wide window and is nonnegative at probe points
+        # the unequal-scale sum density by inversion: it agrees with the
+        # series and integrates to ~1 over a wide window
         p = ProductNormalParams(1.0, -1.0, 1.0, 1.0, 0.25, 2)
         pdf = lambda x: cf_inversion_pdf(x, lambda t: char_fn_sum(t, p))
-        vals = [pdf(x) for x in (-6.0, -2.0, 0.0, 1.0, 4.0)]
-        assert all(v >= 0 for v in vals)
+        for x in (-6.0, -2.0, 0.0, 1.0, 4.0):
+            assert pdf(x) == pytest.approx(ncx2diff_pdf(x, p), abs=1e-8)
         total = (quad(pdf, -40, 0, limit=200)[0] + quad(pdf, 0, 40, limit=200)[0])
         assert total == pytest.approx(1.0, abs=1e-6)
 
@@ -312,25 +327,49 @@ class TestRecurrenceAgainstPerTermSeries:
             per_term_pdf(x, r, l1, l2), rel=1e-11, abs=1e-300)
 
 
-def mp_diff_pdf(x, r, lam1, lam2):
-    """40-digit convolution of the two noncentral chi-square densities, with
-    breakpoints across the bulk of V1 so that a large lambda is resolved."""
+def mp_diff_pdf(x, r, lam1, lam2, c1=1.0, c2=1.0, shift=0.0):
+    """40-digit convolution of the densities of c1 V1 and c2 V2 at x - shift,
+    the law of S_n in its representation (unit scales and no shift: T). The
+    breakpoints cross the bulk of c1 V1 and of z + c2 V2, so that a large
+    lambda or a narrow scale is resolved, and step by factors of 4 away from
+    the lower end, |z| from where the other factor is singular for r < 2."""
     with mp.workdps(40):
-        x, r, lam1, lam2 = (mp.mpf(v) for v in (x, r, lam1, lam2))
+        z, r, lam1, lam2, c1, c2 = (mp.mpf(v) for v in (x - shift, r, lam1, lam2, c1, c2))
 
-        def f(u, lam):
+        def f(u, c, lam):  # density of c chi'^2_r(lam) at u
+            u = u / c
             if u <= 0:
                 return mp.mpf(0)
             if lam == 0:
-                return u ** (r / 2 - 1) * mp.exp(-u / 2) / (2 ** (r / 2) * mp.gamma(r / 2))
+                return u ** (r / 2 - 1) * mp.exp(-u / 2) / (2 ** (r / 2) * mp.gamma(r / 2)) / c
             return (mp.exp(-(u + lam) / 2) / 2 * (u / lam) ** (r / 4 - mp.mpf(1) / 2)
-                    * mp.besseli(r / 2 - 1, mp.sqrt(lam * u)))
+                    * mp.besseli(r / 2 - 1, mp.sqrt(lam * u))) / c
 
-        lo = max(mp.mpf(0), x)
+        lo = max(mp.mpf(0), z)
         mean, sd = r + lam1, mp.sqrt(2 * r + 4 * lam1)
-        points = sorted({lo, lo + 5, lo + 40}
-                        | {mean + i * sd for i in range(-8, 9) if mean + i * sd > lo})
-        return float(mp.quad(lambda u: f(u, lam1) * f(u - x, lam2), points + [mp.inf]))
+        points = {lo, lo + 5 * c1, lo + 40 * c1} | {c1 * (mean + i * sd) for i in range(-8, 9)}
+        mean, sd = r + lam2, mp.sqrt(2 * r + 4 * lam2)
+        points |= {z + c2 * (mean + i * sd) for i in range(-8, 9, 2)}
+        step = abs(z)
+        while 0 < step < 5 * max(c1, c2):
+            points.add(lo + step)
+            step *= 4
+        # u = lo + v^(1/e) takes away the (u - lo)^(r/2 - 1) singularity of
+        # the factor that starts at lo, which quad does not resolve for small r
+        e = min(mp.mpf(1), r / 2)
+
+        def g(v):  # lo - z is 0 or -z: the factor at lo keeps every digit of w
+            w = v ** (1 / e)
+            return f(lo + w, c1, lam1) * f(lo - z + w, c2, lam2) * v ** (1 / e - 1) / e
+
+        return float(mp.quad(g, sorted((u - lo) ** e for u in points if u >= lo) + [mp.inf]))
+
+
+def mp_sum_pdf(x, p):
+    """mp_diff_pdf at the representation of p."""
+    q = to_chisq_diff(p)
+    return mp_diff_pdf(x, q.r, q.lambda_plus, q.lambda_minus, q.scale_plus,
+                       q.scale_minus, q.shift)
 
 
 def mp_series_pdf(x, r, lam1, lam2):
@@ -373,6 +412,9 @@ class TestCertifiedWindow:
     @example(r=1.0, l1=200.0, l2=0.0, z=-50.0 / (2.0 * math.sqrt(201.0)))
     # x = 1.5e-323, where |x|/2 rounds and the Bessel-K reference is 0.2165
     @example(r=2.0, l1=0.0, l2=0.0, z=5e-324)
+    # x = -0.0312, where CF inversion returns -1.4e-58 and raises nothing;
+    # the density is 1.5610e-4
+    @example(r=1.2234, l1=379.5, l2=240.5, z=-2.7890633092703796)
     def test_against_cf_inversion(self, r, l1, l2, z):
         # x within 6 standard deviations of the mean; the value agrees with CF
         # inversion (or, where that cannot meet its tolerance, the 40-digit
@@ -381,7 +423,12 @@ class TestCertifiedWindow:
         # inversion is silently wrong for r <= 2 (0.19 off at r = 0.5,
         # x = 1e-6, and negative at r = 1.5): there the reference is the
         # Bessel-K series at lambda1 = lambda2 (it needs |x|/2 to be exact,
-        # so not subnormal) and the 40-digit series else
+        # so not subnormal) and the 40-digit series else. The CF of T decays
+        # on the scale 1/sd, sd = 2 sqrt(r + lambda1 + lambda2); where
+        # |x| sqrt(r + lambda1 + lambda2) < 2 pi, QUADPACK's first Fourier
+        # cycle pi/|x| spans more than r + lambda1 + lambda2 of those scales,
+        # and its cycle extrapolation can return a wrong value with a small
+        # error estimate: there the reference is the convolution
         x = l1 - l2 + z * 2.0 * math.sqrt(r + l1 + l2)
         assume(x != 0.0)
         q = ChiSqDiffParams(r, l1, l2)
@@ -394,6 +441,8 @@ class TestCertifiedWindow:
             ref = _equal_lambda_pdf(x, r, l1)
         elif abs(x) < 0.01:
             ref = mp_series_pdf(x, r, l1, l2)
+        elif abs(x) * math.sqrt(r + l1 + l2) < 2.0 * math.pi:
+            ref = mp_diff_pdf(x, r, l1, l2)
         else:
             try:
                 ref = cf_inversion_pdf(x, lambda t: char_fn_diff(t, q))
@@ -401,20 +450,23 @@ class TestCertifiedWindow:
                 ref = mp_diff_pdf(x, r, l1, l2)
         assert abs(v - ref) <= 1e-8 * max(1.0, abs(ref))
 
-    @pytest.mark.parametrize("x,r,l1,l2,max_terms,most,ref", [
-        (0.7, 3.0, 100.0, 100.0, DEFAULT_CONTROL.max_terms, 11_000,
+    @pytest.mark.parametrize("x,q,max_terms,most,ref", [
+        (0.7, ChiSqDiffParams(3.0, 100.0, 100.0), DEFAULT_CONTROL.max_terms, 11_000,
          lambda: pytest.approx(0.0141003542, abs=1e-9)),
         # near 0 at large noncentralities: both windows start far above 0
-        (1e-9, 0.3, 500.0, 500.0, DEFAULT_CONTROL.max_terms, 60_000,
+        (1e-9, ChiSqDiffParams(0.3, 500.0, 500.0), DEFAULT_CONTROL.max_terms, 60_000,
          lambda: pytest.approx(_equal_lambda_pdf(1e-9, 0.3, 500.0), rel=1e-10)),
         # the sum comes out below the saddlepoint estimate: a budget named
         # for the estimate's rectangle alone could fall short
-        (-17.7428, 0.8881, 1.8084, 4.8021, 300, None,
+        (-17.7428, ChiSqDiffParams(0.8881, 1.8084, 4.8021), 300, None,
          lambda: pytest.approx(mp_diff_pdf(-17.7428, 0.8881, 1.8084, 4.8021), rel=1e-10)),
-    ], ids=["r3-lam100", "r0.3-lam500", "below-saddlepoint"])
-    def test_budget_error_names_a_sufficient_budget(self, x, r, l1, l2, max_terms,
-                                                    most, ref):
-        q = ChiSqDiffParams(r, l1, l2)
+        # S_n at sigma_x sigma_y = 3: scales 1.65 and 1.35, lambdas 330 and 83
+        (430.0, ProductNormalParams(16.0, 4.5, 2.0, 1.5, 0.1, 6),
+         DEFAULT_CONTROL.max_terms, 17_000,
+         lambda: pytest.approx(mp_sum_pdf(430.0, ProductNormalParams(
+             16.0, 4.5, 2.0, 1.5, 0.1, 6)), rel=1e-10)),
+    ], ids=["r3-lam100", "r0.3-lam500", "below-saddlepoint", "sum-sigma3"])
+    def test_budget_error_names_a_sufficient_budget(self, x, q, max_terms, most, ref):
         with pytest.raises(NonConvergenceError) as info:
             ncx2diff_pdf(x, q, SeriesControl(max_terms=max_terms))
         named = info.value.max_terms
@@ -423,6 +475,43 @@ class TestCertifiedWindow:
             assert named <= most
             with pytest.raises(NonConvergenceError):
                 ncx2diff_pdf(x, q, SeriesControl(max_terms=named - 1))
+
+    @settings(max_examples=10, deadline=None)
+    @given(n=st.integers(1, 6), rho=st.floats(-0.999, 0.999),
+           log_s=st.floats(-2.0, 2.0), split=st.floats(0.0, 1.0),
+           a=st.floats(-2.0, 2.0), b=st.floats(-2.0, 2.0),
+           u=st.floats(-1.0, 1.0).filter(lambda u: u != 0.0))
+    # within 3e-4 of 0 for n = 2 CF inversion raised
+    @example(n=2, rho=0.311, log_s=0.0, split=0.0, a=-1.912, b=-1.088, u=0.3)
+    def test_sum_density_near_zero(self, n, rho, log_s, split, a, b, u):
+        # S_n within 1e-3 of 0, where CF inversion raised or was wrong,
+        # against the 40-digit convolution of its representation: within
+        # 1e-10, relatively where the density exceeds 1, or the budget
+        # error names a max_terms at which it does. sigma_x sigma_y = e^log_s,
+        # split between the two; a and b are the standardised means
+        sx, sy = math.exp(split * log_s), math.exp((1.0 - split) * log_s)
+        p = ProductNormalParams(a * sx, b * sy, sx, sy, rho, n)
+        x = u * 1e-3
+        try:
+            v = ncx2diff_pdf(x, p)
+        except NonConvergenceError as exc:
+            assert exc.max_terms > DEFAULT_CONTROL.max_terms
+            v = ncx2diff_pdf(x, p, SeriesControl(max_terms=exc.max_terms))
+        ref = mp_sum_pdf(x, p)
+        assert abs(v - ref) <= 1e-10 * max(1.0, abs(ref))
+
+    @pytest.mark.parametrize("rho", [1.0, -1.0])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_degenerate_rho_is_a_shifted_ncx2(self, rho, n):
+        # S_n = c chi'^2_n(lambda) + shift, on one side of the shift only
+        p = ProductNormalParams(0.7, -1.3, 1.5, 0.6, rho, n)
+        q = to_chisq_diff(p)
+        c, lam = (q.scale_plus, q.lambda_plus) if rho > 0 else (q.scale_minus, q.lambda_minus)
+        for v in (0.05, 0.7, 3.0, 12.0):
+            x = q.shift + rho * c * v
+            ref = stats.ncx2.pdf(rho * (x - q.shift) / c, n, lam) / c
+            assert ncx2diff_pdf(x, p) == pytest.approx(ref, rel=1e-12)
+            assert ncx2diff_pdf(q.shift - rho * c * v, p) == 0.0
 
     @pytest.mark.parametrize("r,x,k,ref", DIAGONAL_REFERENCE)
     def test_diagonal_recurrence(self, r, x, k, ref):

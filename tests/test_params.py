@@ -155,6 +155,9 @@ class TestInverse:
             scale = ncx2_moment(k, 2.0 * r, lam1 + lam2)
             assert abs(2 ** k * sum_moment(k, p) - diff_moment(k, q)) <= 1e-12 * scale
         assert abs(char_fn_sum(2.0 * t, p) - char_fn_diff(t, q)) <= 1e-12
+        x = t / 2.0 or 0.5  # p_S(x) = 2 p_T(2x); x = 0 is singular for r = 1
+        assert ncx2diff_pdf(x, p) == pytest.approx(2.0 * ncx2diff_pdf(2.0 * x, q),
+                                                   rel=1e-10, abs=1e-300)
 
     def test_non_integer_r_rejected(self):
         with pytest.raises(UnsupportedParameterError):

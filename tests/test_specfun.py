@@ -121,7 +121,8 @@ class TestTricomiU:
 
 class TestBessel:
     def test_log_i_matches_direct(self):
-        for nu, x in [(0.0, 1.0), (2.5, 10.0), (7.0, 0.3)]:
+        # -1 < nu < 0 included: the orders of ncx2_pdf at r < 2
+        for nu, x in [(0.0, 1.0), (2.5, 10.0), (7.0, 0.3), (-0.5, 1.0), (-0.75, 0.3)]:
             assert log_bessel_i(nu, x) == pytest.approx(
                 math.log(sc.iv(nu, x)), abs=1e-12)
 
